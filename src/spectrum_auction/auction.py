@@ -71,30 +71,38 @@ class PayoffVector:
     apo: tuple[float, ...]
 
 
-def _resolve_values(values: np.ndarray, c: float, rng: RngStream) -> AuctionOutcome:
-    """Array-level auction rule; tie-breaks consume exactly one draw.
+def _second_price(
+    values: np.ndarray, c: float, rng: RngStream, k_s: int = 0
+) -> tuple[Mode, int | None, int, float]:
+    """The auction rule on a bid array; returns ``(mode, winner,
+    channel, price)``.
 
-    Draw order: a winner tie-break (only when several bids share the
-    minimum) or a competition channel pick (only when everyone
-    abstains).
+    The first ``k_s`` sellers share their channel with another buyer,
+    so the competition channel is drawn among the rest; ``k_s = 0`` is
+    the single-buyer auction. Draw order: a winner tie-break (only when
+    several bids share the minimum) or a competition channel pick (only
+    when everyone abstains), one draw each.
     """
     finite = values[np.isfinite(values)]
     if finite.size and finite.max() > c:
         raise InvalidProfile("numeric bids must not exceed the reserve rate")
-    k = len(values)
     m = values.min()
     if math.isinf(m):
-        channel = rng.pick(k)
-        return AuctionOutcome(Mode.COMPETITION, None, channel, 0.0)
+        return Mode.COMPETITION, None, k_s + rng.pick(len(values) - k_s), 0.0
     tied = np.nonzero(values == m)[0]
     if len(tied) == 1:
         winner = int(tied[0])
-        others = np.delete(values, winner)
-        r_pay = min(c, float(others.min()))
+        price = min(c, float(np.delete(values, winner).min()))
     else:
         winner = int(tied[rng.pick(len(tied))])
-        r_pay = float(m)
-    return AuctionOutcome(Mode.COOPERATION, winner, winner, r_pay)
+        price = float(m)
+    return Mode.COOPERATION, winner, winner, price
+
+
+def _resolve_values(values: np.ndarray, c: float, rng: RngStream) -> AuctionOutcome:
+    """Array-level single-buyer auction: the shared rule with no shared
+    sellers."""
+    return AuctionOutcome(*_second_price(values, c, rng))
 
 
 def resolve(profile: BidProfile, c: float, rng: RngStream) -> AuctionOutcome:

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from enum import Enum
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .multi_lte import MultiExperimentConfig, MultiMarketConfig
 from .presets import PRESETS, preset
 from .rng import RngStream
 from .simulation import ExperimentConfig
+
+_MAX_SEED = 2**64 - 1
 
 
 def _default_workers() -> int:
@@ -75,13 +78,16 @@ def _round9(obj):
     return obj
 
 
-def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(_round9(obj), indent=2, sort_keys=True) + "\n"
+def _write_text(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(obj, path: str | None) -> None:
+    _write_text(path, json.dumps(_round9(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -117,40 +123,28 @@ def _parse_block(block: dict, keys: set[str], label: str) -> dict:
     return block
 
 
-def parse_market(cfg: dict) -> MarketConfig:
-    _require("market" in cfg, "config needs a 'market' block")
-    block = _parse_block(cfg["market"], _MARKET_KEYS, "market")
+def _parse_market_block(cfg: dict, label: str, keys: set[str], cls):
+    """Build ``cls`` from the ``label`` block: seller counts are ints,
+    ``dist`` a type law, every other key a float."""
+    _require(label in cfg, f"config needs a '{label}' block")
+    block = _parse_block(cfg[label], keys, label)
     try:
-        return MarketConfig(
-            k=int(block["k"]),
-            dist=TypeDistribution.from_config(block["dist"]),
-            eta_apo=float(block["eta_apo"]),
-            delta_lte=float(block["delta_lte"]),
-            r_lte=float(block["r_lte"]),
-        )
+        fields = {
+            key: int(v) if key.startswith("k") else float(v)
+            for key, v in block.items()
+            if key != "dist"
+        }
+        return cls(dist=TypeDistribution.from_config(block["dist"]), **fields)
     except (InvalidDistribution, ValueError, TypeError) as exc:
         raise InvalidConfig(str(exc))
+
+
+def parse_market(cfg: dict) -> MarketConfig:
+    return _parse_market_block(cfg, "market", _MARKET_KEYS, MarketConfig)
 
 
 def parse_multi_market(cfg: dict) -> MultiMarketConfig:
-    _require("multi_market" in cfg, "config needs a 'multi_market' block")
-    block = _parse_block(cfg["multi_market"], _MULTI_KEYS, "multi_market")
-    try:
-        return MultiMarketConfig(
-            k_s=int(block["k_s"]),
-            k_a=int(block["k_a"]),
-            dist=TypeDistribution.from_config(block["dist"]),
-            eta_apo=float(block["eta_apo"]),
-            delta_lte=float(block["delta_lte"]),
-            theta_lte=float(block["theta_lte"]),
-            r_lte=float(block["r_lte"]),
-        )
-    except (InvalidDistribution, ValueError, TypeError) as exc:
-        raise InvalidConfig(str(exc))
-
-
-def _regime_name(regime) -> str:
-    return regime.kind.value
+    return _parse_market_block(cfg, "multi_market", _MULTI_KEYS, MultiMarketConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +166,7 @@ def cmd_equilibrium(args) -> int:
         breakpoints.extend([strat.c, strat.r_t])
     breakpoints.append(market.dist.r_max)
     out = {
-        "regime": _regime_name(strat.regime),
+        "regime": strat.regime.kind.value,
         "c": strat.c,
         "breakpoints": breakpoints,
     }
@@ -197,12 +191,7 @@ def _curve_grid(cfg: dict, args) -> np.ndarray:
 def _write_rows(path: str | None, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_payoff_curve(args) -> int:
@@ -216,7 +205,7 @@ def cmd_payoff_curve(args) -> int:
             (
                 fmt9(point.c),
                 fmt9(point.expected_payoff),
-                _regime_name(point.regime),
+                point.regime.kind.value,
                 fmt9(point.expected_payment),
             )
         )
@@ -227,59 +216,99 @@ def cmd_payoff_curve(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    opt = provider.optimize_reserve(market)
-    out = {
+    _emit_json(_reserve_dict(provider.optimize_reserve(market)), args.output)
+    return 0
+
+
+def _reserve_dict(opt) -> dict:
+    return {
         "c_star": opt.c_star,
         "expected_payoff": opt.expected_payoff,
         "case": opt.case,
         "interval": list(opt.interval) if opt.interval else None,
     }
-    _emit_json(out, args.output)
-    return 0
 
 
-def _summary_dict(summary) -> dict:
-    return asdict(summary)
+def _checked_seed(seed: int) -> int:
+    _require(0 <= seed <= _MAX_SEED, f"seed must lie in [0, 2**64 - 1], got {seed}")
+    return seed
 
 
-def _replication_rows(market: MarketConfig, reps):
-    k = market.k
+def _replications_and_seed(args, cfg: dict) -> tuple[int, int]:
+    """Replication count and master seed: the flag when given, else the
+    config value, else the default."""
+    reps = args.replications if args.replications is not None else cfg.get("replications", 5000)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    try:
+        reps, seed = int(reps), int(seed)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"replications and seed must be integers, got {reps!r}, {seed!r}")
+    _require(reps >= 1, f"replications must be >= 1, got {reps}")
+    return reps, _checked_seed(seed)
+
+
+# Per-replication CSV columns after the types and bids, and the result
+# field behind each header where the two names differ.
+_SINGLE_COLUMNS = (
+    "mode", "winner", "r_pay", "pi_a_lte", "pi_b_lte", "pi_a_apo", "pi_b_apo", "w_a", "w_b",
+    "w_max",
+)
+_MULTI_COLUMNS = (
+    "mode", "winner", "winner_origin", "r_pay", "virtual_price", "pi_a_lte", "pi_b_lte",
+    "pi_a_apo", "pi_b_apo", "w_a", "w_b", "identity_residual",
+)
+_COLUMN_FIELDS = {
+    "pi_a_lte": "auction_lte",
+    "pi_b_lte": "bench_lte",
+    "pi_a_apo": "auction_apo_total",
+    "pi_b_apo": "bench_apo_total",
+    "w_a": "welfare_auction",
+    "w_b": "welfare_bench",
+    "w_max": "welfare_max",
+}
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return value.value
+    return fmt9(value)
+
+
+def _rows(k: int, reps, columns):
+    """CSV header and rows: rep, K types, K bids, then ``columns``."""
     header = (
         ["rep"]
         + [f"r_{i+1}" for i in range(k)]
         + [f"bid_{i+1}" for i in range(k)]
-        + ["mode", "winner", "r_pay", "pi_a_lte", "pi_b_lte", "pi_a_apo", "pi_b_apo", "w_a", "w_b", "w_max"]
+        + list(columns)
     )
-    rows = []
-    for r in reps:
-        rows.append(
-            [str(r.rep)]
-            + [fmt9(t) for t in r.types]
-            + [fmt9(b) for b in r.bids]
-            + [
-                r.mode.value,
-                "" if r.winner is None else str(r.winner),
-                fmt9(r.r_pay),
-                fmt9(r.auction_lte),
-                fmt9(r.bench_lte),
-                fmt9(r.auction_apo_total),
-                fmt9(r.bench_apo_total),
-                fmt9(r.welfare_auction),
-                fmt9(r.welfare_bench),
-                fmt9(r.welfare_max),
-            ]
-        )
+    fields = [_COLUMN_FIELDS.get(name, name) for name in columns]
+    rows = [
+        [str(r.rep)]
+        + [fmt9(t) for t in r.types]
+        + [fmt9(b) for b in r.bids]
+        + [_cell(getattr(r, field)) for field in fields]
+        for r in reps
+    ]
     return header, rows
+
+
+def _replication_rows(market: MarketConfig, reps):
+    return _rows(market.k, reps, _SINGLE_COLUMNS)
+
+
+def _multi_replication_rows(market: MultiMarketConfig, reps):
+    return _rows(market.k_s + market.k_a, reps, _MULTI_COLUMNS)
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
+    replications, seed = _replications_and_seed(args, cfg)
     xcfg = ExperimentConfig(
-        market=market,
-        replications=args.replications or int(cfg.get("replications", 5000)),
-        master_seed=args.seed if args.seed is not None else int(cfg.get("seed", 0)),
-        sweep=cfg.get("sweep"),
+        market=market, replications=replications, master_seed=seed, sweep=cfg.get("sweep")
     )
     cells = simulation.sweep_cells(xcfg)
     summaries = []
@@ -293,7 +322,7 @@ def cmd_simulate(args) -> int:
                     "delta_lte": cell.market.delta_lte,
                     "r_lte": cell.market.r_lte,
                 },
-                "summary": _summary_dict(result.summary),
+                "summary": asdict(result.summary),
             }
         )
         if args.output:
@@ -309,13 +338,17 @@ def cmd_verify(args) -> int:
     market = parse_market(cfg)
     c = args.c if args.c is not None else cfg.get("c")
     _require(c is not None, "verify needs --c or a 'c' config key")
+    _require(
+        args.samples >= 2 and args.type_grid >= 1 and args.bid_grid >= 1,
+        "verify needs --samples >= 2, --type-grid >= 1 and --bid-grid >= 1",
+    )
     report = oracle.best_response_check(
         market,
         float(c),
         type_grid=args.type_grid,
         bid_grid=args.bid_grid,
         samples=args.samples,
-        rng=RngStream(args.seed if args.seed is not None else 0, 0),
+        rng=RngStream(_checked_seed(args.seed if args.seed is not None else 0), 0),
     )
     out = asdict(report)
     out["c"] = float(c)
@@ -323,67 +356,19 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _multi_replication_rows(market: MultiMarketConfig, reps):
-    k = market.k_s + market.k_a
-    header = (
-        ["rep"]
-        + [f"r_{i+1}" for i in range(k)]
-        + [f"bid_{i+1}" for i in range(k)]
-        + [
-            "mode",
-            "winner",
-            "winner_origin",
-            "r_pay",
-            "virtual_price",
-            "pi_a_lte",
-            "pi_b_lte",
-            "pi_a_apo",
-            "pi_b_apo",
-            "w_a",
-            "w_b",
-            "identity_residual",
-        ]
-    )
-    rows = []
-    for r in reps:
-        rows.append(
-            [str(r.rep)]
-            + [fmt9(t) for t in r.types]
-            + [fmt9(b) for b in r.bids]
-            + [
-                r.mode.value,
-                "" if r.winner is None else str(r.winner),
-                "" if r.winner_origin is None else r.winner_origin.value,
-                fmt9(r.r_pay),
-                fmt9(r.virtual_price),
-                fmt9(r.auction_lte),
-                fmt9(r.bench_lte),
-                fmt9(r.auction_apo_total),
-                fmt9(r.bench_apo_total),
-                fmt9(r.welfare_auction),
-                fmt9(r.welfare_bench),
-                fmt9(r.identity_residual),
-            ]
-        )
-    return header, rows
+def _require_multi_samples(n: int) -> None:
+    _require(n >= 4 and n % 2 == 0, f"--samples must be an even number >= 4, got {n}")
 
 
 def cmd_multi(args) -> int:
     cfg = load_config(args)
     market = parse_multi_market(cfg)
     if args.action == "optimize":
-        opt = multi_lte.optimize_reserve_multi(market, n=args.samples)
-        _emit_json(
-            {
-                "c_star": opt.c_star,
-                "expected_payoff": opt.expected_payoff,
-                "case": opt.case,
-                "interval": list(opt.interval) if opt.interval else None,
-            },
-            args.output,
-        )
+        _require_multi_samples(args.samples)
+        _emit_json(_reserve_dict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
         return 0
     if args.action == "payoff-curve":
+        _require_multi_samples(args.samples)
         grid = _curve_grid(cfg, args)
         rows = []
         for c in grid:
@@ -392,17 +377,15 @@ def cmd_multi(args) -> int:
         _write_rows(args.output, ["c", "expected_payoff", "se"], rows)
         return 0
     # simulate
+    replications, seed = _replications_and_seed(args, cfg)
     xcfg = MultiExperimentConfig(
-        market=market,
-        replications=args.replications or int(cfg.get("replications", 5000)),
-        master_seed=args.seed if args.seed is not None else int(cfg.get("seed", 0)),
-        reserve=args.reserve,
+        market=market, replications=replications, master_seed=seed, reserve=args.reserve
     )
     result = multi_lte.run_experiment_multi(xcfg, workers=args.workers)
     if args.output:
         header, rows = _multi_replication_rows(market, result.replications)
         _write_rows(args.output, header, rows)
-    _emit_json(_summary_dict(result.summary), args.summary)
+    _emit_json(asdict(result.summary), args.summary)
     return 0
 
 

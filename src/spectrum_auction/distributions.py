@@ -60,6 +60,11 @@ class TypeDistribution:
                 raise InvalidDistribution("truncated normal needs mu and sigma")
             if not self.sigma > 0.0:
                 raise InvalidDistribution("sigma must be positive")
+            if not self._trunc_mass() > 0.0:
+                raise InvalidDistribution(
+                    f"normal({self.mu}, {self.sigma}) has no mass on "
+                    f"[{self.r_min}, {self.r_max}]"
+                )
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float) -> "TypeDistribution":

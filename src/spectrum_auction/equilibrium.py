@@ -129,18 +129,9 @@ class EquilibriumStrategy:
     r_x: float | None = None
 
     def bid(self, r: float) -> Bid:
-        kind = self.regime.kind
-        if kind is RegimeKind.LOW:
-            return ABSTAIN
-        if kind is RegimeKind.MID:
-            return Bid.of(self.c) if r <= self.r_x else ABSTAIN
-        if kind is RegimeKind.STANDARD:
-            if r <= self.c:
-                return Bid.of(r)
-            if r <= self.r_t:
-                return Bid.of(self.c)
-            return ABSTAIN
-        return Bid.of(r)
+        """Bid of one type; the scalar view of :meth:`bid_values`."""
+        v = float(self.bid_values(r))
+        return ABSTAIN if math.isinf(v) else Bid.of(v)
 
     def bid_values(self, types: np.ndarray) -> np.ndarray:
         """Vectorized bid map; abstention encoded as +inf."""

@@ -15,14 +15,13 @@ coexistence channel is drawn uniformly among the alone sellers only.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .auction import Mode
+from .auction import Mode, _second_price, realized_apo_payoffs
 from .distributions import TypeDistribution
 from .equilibrium import (
     ABSTAIN_VALUE,
@@ -31,10 +30,11 @@ from .equilibrium import (
     bid_values,
     bid as single_bid,
 )
-from .errors import InfeasibleBid, InvalidProfile, NonUnimodalCurve
+from .errors import InfeasibleBid, InvalidProfile
 from .numerics import golden_section_max, has_interior_dip
-from .provider import OptimalReserve
+from .provider import OptimalReserve, grid_fallback
 from .rng import RngStream
+from .simulation import GainSummary, coexistence_benchmark, gain_summary, run_blocks
 
 GUARD_POINTS = 200
 FALLBACK_GRID_POINTS = 400
@@ -135,11 +135,10 @@ def shared_participation_cutoff(cfg: MultiMarketConfig, c: float) -> float:
 
 
 def bid_shared(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
-    """Equilibrium virtual bid of a shared seller: its discounted rate
-    plus the normalization offset, or abstention above the cutoff."""
-    if r <= shared_participation_cutoff(cfg, c):
-        return VirtualBid(cfg.eta_apo * r + cfg.shared_offset, Origin.SHARED)
-    return VirtualBid(None, Origin.SHARED)
+    """Equilibrium virtual bid of a shared seller (see
+    :func:`bid_values_shared`)."""
+    v = float(bid_values_shared(cfg, c, r))
+    return VirtualBid(None if math.isinf(v) else v, Origin.SHARED)
 
 
 def bid_alone(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
@@ -150,6 +149,8 @@ def bid_alone(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
 
 
 def bid_values_shared(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
+    """Shared sellers' virtual bids: the discounted rate plus the
+    normalization offset, or abstention (+inf) above the cutoff."""
     types = np.asarray(types, dtype=float)
     cutoff = shared_participation_cutoff(cfg, c)
     return np.where(
@@ -164,28 +165,17 @@ def bid_values_alone(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.
 def _resolve_virtual_values(
     values: np.ndarray, k_s: int, cfg: MultiMarketConfig, c: float, rng: RngStream
 ) -> MultiAuctionOutcome:
-    """Array-level resolution; the first ``k_s`` columns are shared
-    sellers. Tie-breaks and the competition channel pick consume exactly
-    one draw each."""
-    finite = values[np.isfinite(values)]
-    if finite.size and finite.max() > c:
-        raise InvalidProfile("virtual bids must not exceed the reserve rate")
-    k_total = len(values)
-    m = values.min()
-    if math.isinf(m):
-        channel = k_s + rng.pick(k_total - k_s)
-        return MultiAuctionOutcome(Mode.COMPETITION, None, None, channel, 0.0, 0.0)
-    tied = np.nonzero(values == m)[0]
-    if len(tied) == 1:
-        winner = int(tied[0])
-        others = np.delete(values, winner)
-        price = min(c, float(others.min()))
-    else:
-        winner = int(tied[rng.pick(len(tied))])
-        price = float(m)
-    origin = Origin.SHARED if winner < k_s else Origin.ALONE
-    r_pay = price - cfg.shared_offset if origin is Origin.SHARED else price
-    return MultiAuctionOutcome(Mode.COOPERATION, winner, origin, winner, r_pay, price)
+    """Array-level resolution of virtual bids; the first ``k_s`` columns
+    are shared sellers. A shared winner's allocated rate is the virtual
+    price minus the normalization offset."""
+    mode, winner, channel, price = _second_price(values, c, rng, k_s)
+    if mode is Mode.COMPETITION:
+        return MultiAuctionOutcome(mode, None, None, channel, 0.0, 0.0)
+    if winner < k_s:
+        return MultiAuctionOutcome(
+            mode, winner, Origin.SHARED, channel, price - cfg.shared_offset, price
+        )
+    return MultiAuctionOutcome(mode, winner, Origin.ALONE, channel, price, price)
 
 
 def resolve_multi(
@@ -223,14 +213,9 @@ def apo_payoffs_multi(
     stays shared with another buyer); an alone non-winner keeps its full
     rate unless competition lands on its channel.
     """
-    types = np.asarray(types, dtype=float)
-    out = types.copy()
-    out[: cfg.k_s] *= cfg.eta_apo
-    if outcome.mode is Mode.COOPERATION:
-        out[outcome.winner] = outcome.r_pay
-    else:
-        out[outcome.channel] = cfg.eta_apo * types[outcome.channel]
-    return out
+    discounted = np.array(types, dtype=float)
+    discounted[: cfg.k_s] *= cfg.eta_apo
+    return realized_apo_payoffs(outcome, discounted, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +244,13 @@ def _lte_payoffs_for_pool(
     return np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
 
 
+def _check_samples(n: int) -> None:
+    """The antithetic estimator pairs rows and needs two pairs for a
+    standard error."""
+    if n < 4 or n % 2:
+        raise ValueError(f"n must be an even number >= 4, got {n}")
+
+
 @lru_cache(maxsize=8)
 def _type_pool(dist: TypeDistribution, k_s: int, k_a: int, n: int, seed: int):
     """Antithetic type pool shared across reserve rates (common random
@@ -281,12 +273,12 @@ def expected_payoff_multi(
     """Monte Carlo estimate (mean, standard error) of provider 0's
     expected payoff at reserve ``c``; antithetic pairing over one pooled
     draw set per (n, seed)."""
+    _check_samples(n)
     types_s, types_a = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
     pay = _lte_payoffs_for_pool(cfg, c, types_s, types_a)
     half = len(pay) // 2
     pairs = 0.5 * (pay[:half] + pay[half:])
-    se = float(pairs.std(ddof=1) / math.sqrt(half)) if half > 1 else 0.0
-    return float(pay.mean()), se
+    return float(pay.mean()), float(pairs.std(ddof=1) / math.sqrt(half))
 
 
 def feasible_reserve_bounds(cfg: MultiMarketConfig) -> tuple[float, float]:
@@ -318,6 +310,7 @@ def optimize_reserve_multi(
     ``strict_unimodal``). A final local grid polish sharpens the golden
     section bracket against residual Monte Carlo jitter.
     """
+    _check_samples(n)
     lo, hi = feasible_reserve_bounds(cfg)
     baseline = cfg.delta_lte * cfg.r_lte
     if hi <= lo:
@@ -335,12 +328,7 @@ def optimize_reserve_multi(
         ses.append(se)
     noise_tol = 1e-4 * cfg.r_lte + 6.0 * float(np.median(ses))
     if has_interior_dip(means, noise_tol):
-        if strict_unimodal:
-            raise NonUnimodalCurve("Monte Carlo payoff curve failed the unimodality guard")
-        fine = np.linspace(lo, hi, FALLBACK_GRID_POINTS)
-        fine_vals = [payoff(float(c)) for c in fine]
-        best = int(np.argmax(fine_vals))
-        c_star, best_val = float(fine[best]), float(fine_vals[best])
+        c_star, best_val = grid_fallback(payoff, lo, hi, FALLBACK_GRID_POINTS, strict_unimodal)
     else:
         width = 1e-3 * cfg.dist.r_max
         c_star, best_val = golden_section_max(payoff, lo, hi, width_tol=width)
@@ -398,17 +386,7 @@ class MultiReplicationResult:
 
 
 @dataclass(frozen=True)
-class MultiMetricsSummary:
-    replications: int
-    c_star: float
-    mean_rho_lte: float
-    hw_rho_lte: float
-    mean_rho_apo: float
-    hw_rho_apo: float
-    mean_welfare_auction: float
-    hw_welfare_auction: float
-    mean_welfare_bench: float
-    hw_welfare_bench: float
+class MultiMetricsSummary(GainSummary):
     shared_wins: int
     max_identity_residual: float
 
@@ -447,13 +425,7 @@ def run_auction_replication_multi(
 def run_benchmark_replication_multi(cfg: MultiMarketConfig, types, rng: RngStream):
     """Benchmark: provider 0 coexists on a uniformly chosen alone
     seller's channel; shared sellers keep their discounted rates."""
-    types = np.asarray(types, dtype=float)
-    channel = cfg.k_s + rng.pick(cfg.k_a)
-    lte = cfg.delta_lte * cfg.r_lte
-    apo = types.copy()
-    apo[: cfg.k_s] *= cfg.eta_apo
-    apo[channel] = cfg.eta_apo * types[channel]
-    return lte, apo, lte + float(apo.sum()), channel
+    return coexistence_benchmark(cfg, types, rng, cfg.k_s)
 
 
 def _run_replication_multi(
@@ -498,35 +470,13 @@ def _run_block_multi(args) -> list[MultiReplicationResult]:
     ]
 
 
-def _half_width(values: np.ndarray) -> float:
-    n = len(values)
-    if n < 2:
-        return 0.0
-    return float(1.96 * values.std(ddof=1) / np.sqrt(n))
-
-
 def summarize_multi(reps, c_star: float) -> MultiMetricsSummary:
-    a_lte = np.array([r.auction_lte for r in reps])
-    b_lte = np.array([r.bench_lte for r in reps])
-    a_apo = np.array([r.auction_apo_total for r in reps])
-    b_apo = np.array([r.bench_apo_total for r in reps])
-    w_a = np.array([r.welfare_auction for r in reps])
-    w_b = np.array([r.welfare_bench for r in reps])
-    rho_lte = (a_lte - b_lte) / b_lte
-    rho_apo = (a_apo - b_apo) / b_apo
-    shared_wins = sum(1 for r in reps if r.winner_origin is Origin.SHARED)
+    """Aggregate per-replication gains plus the shared-win count and the
+    largest payment-identity residual."""
     return MultiMetricsSummary(
-        replications=len(reps),
         c_star=c_star,
-        mean_rho_lte=float(rho_lte.mean()),
-        hw_rho_lte=_half_width(rho_lte),
-        mean_rho_apo=float(rho_apo.mean()),
-        hw_rho_apo=_half_width(rho_apo),
-        mean_welfare_auction=float(w_a.mean()),
-        hw_welfare_auction=_half_width(w_a),
-        mean_welfare_bench=float(w_b.mean()),
-        hw_welfare_bench=_half_width(w_b),
-        shared_wins=shared_wins,
+        **gain_summary(reps),
+        shared_wins=sum(1 for r in reps if r.winner_origin is Origin.SHARED),
         max_identity_residual=float(max((r.identity_residual for r in reps), default=0.0)),
     )
 
@@ -538,16 +488,7 @@ def run_experiment_multi(
     master seed regardless of ``workers``."""
     cfg = xcfg.market
     c_star = xcfg.reserve if xcfg.reserve is not None else optimize_reserve_multi(cfg).c_star
-    n = xcfg.replications
-    if workers <= 1:
-        reps = _run_block_multi((cfg, c_star, 0, n, xcfg.master_seed))
-    else:
-        block = max(1, -(-n // workers))
-        blocks = [
-            (cfg, c_star, start, min(start + block, n), xcfg.master_seed)
-            for start in range(0, n, block)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_block_multi, blocks))
-        reps = [r for chunk in chunks for r in chunk]
+    reps = run_blocks(
+        _run_block_multi, cfg, c_star, xcfg.replications, xcfg.master_seed, workers
+    )
     return MultiExperimentResult(summarize_multi(reps, c_star), tuple(reps))

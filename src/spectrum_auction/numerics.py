@@ -7,6 +7,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import BracketingError
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -15,19 +17,19 @@ def sign_change_brackets(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, fl
 
     Returns one ``(lo, hi)`` pair per sign change between consecutive
     grid points; an exact zero at a grid point yields a degenerate
-    ``(x, x)`` bracket.
+    ``(x, x)`` bracket. A NaN residual could hide a root, so any NaN
+    raises BracketingError.
     """
-    brackets: list[tuple[float, float]] = []
+    if np.isnan(ys).any():
+        raise BracketingError("NaN residual on the root scan grid")
     signs = np.sign(ys)
-    for i, s in enumerate(signs):
-        if s == 0.0:
-            brackets.append((float(xs[i]), float(xs[i])))
+    zeros = np.nonzero(signs == 0.0)[0]
     # adjacent points only: a crossing next to an exact grid zero is
     # already accounted for by the degenerate bracket
-    for i in range(len(signs) - 1):
-        if signs[i] * signs[i + 1] < 0.0:
-            brackets.append((float(xs[i]), float(xs[i + 1])))
-    return brackets
+    crossings = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    return [(float(xs[i]), float(xs[i])) for i in zeros] + [
+        (float(xs[i]), float(xs[i + 1])) for i in crossings
+    ]
 
 
 def bisect_root(

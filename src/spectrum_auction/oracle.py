@@ -81,37 +81,41 @@ def sample_type_matrix(cfg: MarketConfig, n: int, rng: RngStream, columns: int |
     return np.asarray(cfg.dist.inverse_cdf(rng.uniforms(n, cols)), dtype=float)
 
 
+def _payments(cfg: MarketConfig, c: float, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cooperation mask, allocated rate) per type row under equilibrium
+    bidding; the rate is zero when no one sells."""
+    bids = bid_values(cfg, c, types)
+    coop = np.isfinite(bids.min(axis=1))
+    second = np.partition(bids, 1, axis=1)[:, 1]
+    return coop, np.where(coop, np.minimum(c, second), 0.0)
+
+
 def lte_payoffs_for_types(cfg: MarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Vectorized buyer payoff per type row under equilibrium bidding."""
-    bids = bid_values(cfg, c, types)
-    m = bids.min(axis=1)
-    second = np.partition(bids, 1, axis=1)[:, 1]
-    coop = np.isfinite(m)
-    r_pay = np.where(coop, np.minimum(c, second), 0.0)
+    coop, r_pay = _payments(cfg, c, types)
     return np.where(coop, cfg.r_lte - r_pay, cfg.delta_lte * cfg.r_lte)
 
 
 def payments_for_types(cfg: MarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Vectorized allocated rate per type row (zero when no one sells)."""
-    bids = bid_values(cfg, c, types)
-    m = bids.min(axis=1)
-    second = np.partition(bids, 1, axis=1)[:, 1]
-    coop = np.isfinite(m)
-    return np.where(coop, np.minimum(c, second), 0.0)
+    return _payments(cfg, c, types)[1]
+
+
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    n = len(values)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def mc_expected_payoff(cfg: MarketConfig, c: float, n: int, rng: RngStream) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate (mean, standard error) of the
     buyer's expected payoff at reserve ``c``."""
-    pay = lte_payoffs_for_types(cfg, c, sample_type_matrix(cfg, n, rng))
-    return float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return _mean_and_se(lte_payoffs_for_types(cfg, c, sample_type_matrix(cfg, n, rng)))
 
 
 def mc_expected_payment(cfg: MarketConfig, c: float, n: int, rng: RngStream) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the expected
     allocated rate at reserve ``c``."""
-    pay = payments_for_types(cfg, c, sample_type_matrix(cfg, n, rng))
-    return float(pay.mean()), float(pay.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return _mean_and_se(payments_for_types(cfg, c, sample_type_matrix(cfg, n, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,10 @@ def best_response_check(
     numbers). Certification requires every estimated gain to stay
     within three pooled standard errors; the first violation raises
     CertificationFailed with the offending (type, deviation, gain).
+    Needs ``samples >= 2`` for a standard error and non-empty grids.
     """
+    if samples < 2 or type_grid < 1 or bid_grid < 1:
+        raise ValueError("need samples >= 2, type_grid >= 1 and bid_grid >= 1")
     if rng is None:
         rng = RngStream(0, 0)
     strat = strategy if strategy is not None else equilibrium_strategy_map(cfg, c)
@@ -281,8 +288,7 @@ def best_response_check(
             d = deviations[idx]
             diff = pool.payoff_samples(d, r) - own_samples
             gain = float(diff.mean())
-            se = float(diff.std(ddof=1) / math.sqrt(pool.n)) if pool.n > 1 else 0.0
-            eps = 3.0 * se
+            eps = 3.0 * float(diff.std(ddof=1) / math.sqrt(pool.n))
             if gain > max_gain:
                 max_gain = gain
                 worst = (r, d)

@@ -153,6 +153,18 @@ def capacity_threshold(cfg: MarketConfig) -> float:
     return cfg.low_regime_cap / (1.0 - cfg.delta_lte)
 
 
+def grid_fallback(payoff, lo: float, hi: float, points: int, strict: bool) -> tuple[float, float]:
+    """``(c, payoff(c))`` at the best point of a fine grid on [lo, hi]:
+    the search used once a guard scan has found a dip, or
+    NonUnimodalCurve when ``strict``."""
+    if strict:
+        raise NonUnimodalCurve("payoff curve failed the unimodality guard scan")
+    fine = np.linspace(lo, hi, points)
+    values = [payoff(float(c)) for c in fine]
+    best = int(np.argmax(values))
+    return float(fine[best]), float(values[best])
+
+
 def optimize_reserve(
     cfg: MarketConfig,
     *,
@@ -186,14 +198,10 @@ def optimize_reserve(
     grid = np.linspace(low_cap, hi, guard_points)
     values = [expected_payoff(cfg, float(c)) for c in grid]
     if has_interior_dip(values, 1e-4 * r):
-        if strict_unimodal:
-            raise NonUnimodalCurve(
-                "expected payoff failed the unimodality guard scan"
-            )
-        fine = np.linspace(low_cap, hi, FALLBACK_GRID_POINTS)
-        fine_vals = [expected_payoff(cfg, float(c)) for c in fine]
-        best = int(np.argmax(fine_vals))
-        return OptimalReserve(float(fine[best]), float(fine_vals[best]), case)
+        c_star, best = grid_fallback(
+            lambda c: expected_payoff(cfg, c), low_cap, hi, FALLBACK_GRID_POINTS, strict_unimodal
+        )
+        return OptimalReserve(c_star, best, case)
 
     c_star, best = golden_section_max(
         lambda c: expected_payoff(cfg, c),

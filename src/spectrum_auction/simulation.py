@@ -61,7 +61,9 @@ class ReplicationResult:
 
 
 @dataclass(frozen=True)
-class MetricsSummary:
+class GainSummary:
+    """Summary fields both buyer models report (see :func:`gain_summary`)."""
+
     replications: int
     c_star: float
     mean_rho_lte: float
@@ -72,6 +74,10 @@ class MetricsSummary:
     hw_welfare_auction: float
     mean_welfare_bench: float
     hw_welfare_bench: float
+
+
+@dataclass(frozen=True)
+class MetricsSummary(GainSummary):
     mean_welfare_max: float
     hw_welfare_max: float
 
@@ -106,17 +112,26 @@ def run_auction_replication(
     return lte, apo, welfare, types, bids, outcome
 
 
+def coexistence_benchmark(cfg, types, rng: RngStream, k_s: int = 0):
+    """The random-coexistence benchmark: the buyer shares a uniformly
+    chosen channel among the sellers after the first ``k_s``, who share
+    theirs with another buyer and keep only their discounted rates.
+    ``k_s = 0`` is the single-buyer benchmark. Consumes one draw and
+    returns ``(lte_payoff, apo_payoffs, welfare, channel)``."""
+    types = np.asarray(types, dtype=float)
+    channel = k_s + rng.pick(len(types) - k_s)
+    lte = cfg.delta_lte * cfg.r_lte
+    apo = types.copy()
+    apo[:k_s] *= cfg.eta_apo
+    apo[channel] *= cfg.eta_apo
+    return lte, apo, lte + float(apo.sum()), channel
+
+
 def run_benchmark_replication(cfg: MarketConfig, types, rng: RngStream):
     """One benchmark replication: the buyer coexists on a uniformly
     chosen channel. Returns ``(lte_payoff, apo_payoffs, welfare,
     channel)``."""
-    types = np.asarray(types, dtype=float)
-    channel = rng.pick(cfg.k)
-    lte = cfg.delta_lte * cfg.r_lte
-    apo = types.copy()
-    apo[channel] *= cfg.eta_apo
-    welfare = lte + float(apo.sum())
-    return lte, apo, welfare, channel
+    return coexistence_benchmark(cfg, types, rng)
 
 
 def social_welfare_max(cfg: MarketConfig, types) -> float:
@@ -163,6 +178,18 @@ def _run_block(args) -> list[ReplicationResult]:
     return [_run_replication(cfg, c_star, rep, master_seed) for rep in range(start, stop)]
 
 
+def run_blocks(block_fn, cfg, c_star: float, n: int, seed: int, workers: int) -> list:
+    """Replications ``0..n-1`` in replication order. ``block_fn`` maps
+    ``(cfg, c_star, start, stop, seed)`` to one contiguous block; with
+    several workers the blocks run on a process pool."""
+    if workers <= 1:
+        return block_fn((cfg, c_star, 0, n, seed))
+    block = max(1, -(-n // workers))
+    blocks = [(cfg, c_star, start, min(start + block, n), seed) for start in range(0, n, block)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for chunk in pool.map(block_fn, blocks) for r in chunk]
+
+
 def _half_width(values: np.ndarray) -> float:
     n = len(values)
     if n < 2:
@@ -170,31 +197,34 @@ def _half_width(values: np.ndarray) -> float:
     return float(1.96 * values.std(ddof=1) / np.sqrt(n))
 
 
+def _mean_and_half_width(name: str, values: np.ndarray) -> dict:
+    return {f"mean_{name}": float(values.mean()), f"hw_{name}": _half_width(values)}
+
+
+def gain_summary(reps) -> dict:
+    """The :class:`GainSummary` fields but ``c_star``: the replication
+    count, the buyer's and the sellers' relative gains over the
+    benchmark (ratios formed per replication, then averaged) and both
+    welfares, each with its 95% half-width."""
+    def column(attr):
+        return np.array([getattr(r, attr) for r in reps])
+
+    a_lte, b_lte = column("auction_lte"), column("bench_lte")
+    a_apo, b_apo = column("auction_apo_total"), column("bench_apo_total")
+    return {
+        "replications": len(reps),
+        **_mean_and_half_width("rho_lte", (a_lte - b_lte) / b_lte),
+        **_mean_and_half_width("rho_apo", (a_apo - b_apo) / b_apo),
+        **_mean_and_half_width("welfare_auction", column("welfare_auction")),
+        **_mean_and_half_width("welfare_bench", column("welfare_bench")),
+    }
+
+
 def summarize(reps, c_star: float) -> MetricsSummary:
-    """Aggregate per-replication gains; ratios are averaged after being
-    formed per replication."""
-    a_lte = np.array([r.auction_lte for r in reps])
-    b_lte = np.array([r.bench_lte for r in reps])
-    a_apo = np.array([r.auction_apo_total for r in reps])
-    b_apo = np.array([r.bench_apo_total for r in reps])
-    w_a = np.array([r.welfare_auction for r in reps])
-    w_b = np.array([r.welfare_bench for r in reps])
+    """Aggregate per-replication gains plus the welfare upper bound."""
     w_m = np.array([r.welfare_max for r in reps])
-    rho_lte = (a_lte - b_lte) / b_lte
-    rho_apo = (a_apo - b_apo) / b_apo
     return MetricsSummary(
-        replications=len(reps),
-        c_star=c_star,
-        mean_rho_lte=float(rho_lte.mean()),
-        hw_rho_lte=_half_width(rho_lte),
-        mean_rho_apo=float(rho_apo.mean()),
-        hw_rho_apo=_half_width(rho_apo),
-        mean_welfare_auction=float(w_a.mean()),
-        hw_welfare_auction=_half_width(w_a),
-        mean_welfare_bench=float(w_b.mean()),
-        hw_welfare_bench=_half_width(w_b),
-        mean_welfare_max=float(w_m.mean()),
-        hw_welfare_max=_half_width(w_m),
+        c_star=c_star, **gain_summary(reps), **_mean_and_half_width("welfare_max", w_m)
     )
 
 
@@ -206,18 +236,7 @@ def run_experiment(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult
     """
     cfg = xcfg.market
     c_star = xcfg.reserve if xcfg.reserve is not None else optimize_reserve(cfg).c_star
-    n = xcfg.replications
-    if workers <= 1:
-        reps = _run_block((cfg, c_star, 0, n, xcfg.master_seed))
-    else:
-        block = max(1, -(-n // workers))
-        blocks = [
-            (cfg, c_star, start, min(start + block, n), xcfg.master_seed)
-            for start in range(0, n, block)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_block, blocks))
-        reps = [r for chunk in chunks for r in chunk]
+    reps = run_blocks(_run_block, cfg, c_star, xcfg.replications, xcfg.master_seed, workers)
     return ExperimentResult(summarize(reps, c_star), tuple(reps))
 
 
