@@ -6,12 +6,9 @@ import sys
 
 from spectrum_auction import (
     MarketConfig,
-    RegimeKind,
     TypeDistribution,
-    classify_regime,
     optimize_reserve,
-    solve_threshold_mid,
-    solve_threshold_standard,
+    solve_strategy,
 )
 from spectrum_auction.cli import fmt9
 
@@ -39,16 +36,12 @@ def main():
     for k, r_lte in cells:
         market = MarketConfig(k, dist, args.eta, args.delta, float(r_lte))
         opt = optimize_reserve(market)
-        regime = classify_regime(market, opt.c_star)
-        if regime.kind is RegimeKind.STANDARD:
-            threshold = fmt9(solve_threshold_standard(market, opt.c_star))
-        elif regime.kind is RegimeKind.MID:
-            threshold = fmt9(solve_threshold_mid(market, opt.c_star))
-        else:
-            threshold = ""
+        strat = solve_strategy(market, opt.c_star)
+        threshold = strat.r_t if strat.r_t is not None else strat.r_x
         print(",".join([
             str(k), fmt9(float(r_lte)), fmt9(opt.c_star), str(opt.case),
-            fmt9(opt.expected_payoff), regime.kind.value, threshold,
+            fmt9(opt.expected_payoff), strat.regime.kind.value,
+            "" if threshold is None else fmt9(threshold),
         ]), file=out)
     if args.output:
         out.close()

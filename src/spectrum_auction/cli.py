@@ -1,11 +1,11 @@
 """Command-line interface: config ingestion, subcommand dispatch, and
 bit-stable CSV/JSON emission.
 
-Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold
-or failed certification). Errors print one machine-readable JSON line
-to stderr. All numeric output carries 9 significant digits. The
-SPECTRUM_AUCTION_WORKERS environment variable sets the default worker
-count (results never depend on it).
+Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold,
+non-unimodal curve or failed certification). Errors print one
+machine-readable JSON line to stderr. All numeric output carries 9
+significant digits. The SPECTRUM_AUCTION_WORKERS environment variable
+sets the default worker count (results never depend on it).
 """
 from __future__ import annotations
 
@@ -22,14 +22,7 @@ import numpy as np
 from . import multi_lte, oracle, provider, simulation
 from .distributions import TypeDistribution
 from .equilibrium import MarketConfig, RegimeKind, solve_strategy
-from .errors import (
-    CertificationFailed,
-    InvalidConfig,
-    InvalidDistribution,
-    NonUniqueThreshold,
-    NonUnimodalCurve,
-    SpectrumAuctionError,
-)
+from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
 from .multi_lte import MultiExperimentConfig, MultiMarketConfig
 from .presets import PRESETS, preset
 from .rng import RngStream
@@ -152,12 +145,27 @@ def parse_multi_market(cfg: dict) -> MultiMarketConfig:
 # ---------------------------------------------------------------------------
 
 
+def _checked_reserve(value, name: str) -> float:
+    """A reserve rate from a flag or the config: a finite number >= 0."""
+    try:
+        c = float(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    _require(math.isfinite(c) and c >= 0.0, f"{name} must be finite and >= 0, got {value!r}")
+    return c
+
+
+def _reserve_arg(args, cfg: dict) -> float:
+    """The reserve ``c``: the flag when given, else the config value."""
+    c = args.c if args.c is not None else cfg.get("c")
+    _require(c is not None, f"{args.command} needs --c or a 'c' config key")
+    return _checked_reserve(c, "c")
+
+
 def cmd_equilibrium(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    c = args.c if args.c is not None else cfg.get("c")
-    _require(c is not None, "equilibrium needs --c or a 'c' config key")
-    strat = solve_strategy(market, float(c))
+    strat = solve_strategy(market, _reserve_arg(args, cfg))
     kind = strat.regime.kind
     breakpoints = [market.dist.r_min]
     if kind is RegimeKind.MID:
@@ -183,9 +191,10 @@ def _curve_grid(cfg: dict, args) -> np.ndarray:
     c_max = args.c_max if args.c_max is not None else cfg.get("c_max")
     steps = args.steps if args.steps is not None else cfg.get("steps", 100)
     _require(c_min is not None and c_max is not None, "payoff-curve needs --c-min and --c-max")
-    _require(float(c_min) < float(c_max), "need c_min < c_max")
+    c_min, c_max = _checked_reserve(c_min, "c_min"), _checked_reserve(c_max, "c_max")
+    _require(c_min < c_max, "need c_min < c_max")
     _require(int(steps) >= 2, "need steps >= 2")
-    return np.linspace(float(c_min), float(c_max), int(steps))
+    return np.linspace(c_min, c_max, int(steps))
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
@@ -336,22 +345,21 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    c = args.c if args.c is not None else cfg.get("c")
-    _require(c is not None, "verify needs --c or a 'c' config key")
+    c = _reserve_arg(args, cfg)
     _require(
         args.samples >= 2 and args.type_grid >= 1 and args.bid_grid >= 1,
         "verify needs --samples >= 2, --type-grid >= 1 and --bid-grid >= 1",
     )
     report = oracle.best_response_check(
         market,
-        float(c),
+        c,
         type_grid=args.type_grid,
         bid_grid=args.bid_grid,
         samples=args.samples,
         rng=RngStream(_checked_seed(args.seed if args.seed is not None else 0), 0),
     )
     out = asdict(report)
-    out["c"] = float(c)
+    out["c"] = c
     _emit_json(out, args.output)
     return 0
 
@@ -378,8 +386,9 @@ def cmd_multi(args) -> int:
         return 0
     # simulate
     replications, seed = _replications_and_seed(args, cfg)
+    reserve = None if args.reserve is None else _checked_reserve(args.reserve, "reserve")
     xcfg = MultiExperimentConfig(
-        market=market, replications=replications, master_seed=seed, reserve=args.reserve
+        market=market, replications=replications, master_seed=seed, reserve=reserve
     )
     result = multi_lte.run_experiment_multi(xcfg, workers=args.workers)
     if args.output:
@@ -465,11 +474,6 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return 2
-    except (NonUniqueThreshold, CertificationFailed, NonUnimodalCurve) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 3
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": "io", "message": str(exc)}) + "\n")
         return 2

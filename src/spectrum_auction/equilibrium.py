@@ -165,7 +165,7 @@ def classify_regime(cfg: MarketConfig, c: float) -> ReserveRegime:
     Boundaries follow the interval conventions of the strategy map:
     ``c == L`` is low, ``c == r_min`` standard, ``c == r_max`` high.
     """
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("reserve rate must be >= 0")
     low_cap = cfg.low_regime_cap
     r_min, r_max = cfg.dist.r_min, cfg.dist.r_max

@@ -31,12 +31,10 @@ from .equilibrium import (
     bid as single_bid,
 )
 from .errors import InfeasibleBid, InvalidProfile
-from .numerics import golden_section_max, has_interior_dip
-from .provider import OptimalReserve, grid_fallback
+from .provider import OptimalReserve, _search_reserve
 from .rng import RngStream
 from .simulation import GainSummary, coexistence_benchmark, gain_summary, run_blocks
 
-GUARD_POINTS = 200
 FALLBACK_GRID_POINTS = 400
 MC_SAMPLES = 100_000
 
@@ -150,12 +148,11 @@ def bid_alone(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
 
 def bid_values_shared(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Shared sellers' virtual bids: the discounted rate plus the
-    normalization offset, or abstention (+inf) above the cutoff."""
-    types = np.asarray(types, dtype=float)
-    cutoff = shared_participation_cutoff(cfg, c)
-    return np.where(
-        types <= cutoff, cfg.eta_apo * types + cfg.shared_offset, ABSTAIN_VALUE
-    )
+    normalization offset, or abstention (+inf) above the cutoff. The
+    cutoff test compares bids with ``c``, so rounding at a type exactly
+    at the cutoff cannot produce a bid above the reserve."""
+    bids = cfg.eta_apo * np.asarray(types, dtype=float) + cfg.shared_offset
+    return np.where(bids <= c, bids, ABSTAIN_VALUE)
 
 
 def bid_values_alone(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
@@ -298,17 +295,15 @@ def optimize_reserve_multi(
     cfg: MultiMarketConfig,
     *,
     n: int = MC_SAMPLES,
-    seed: int = 0,
-    guard_points: int = GUARD_POINTS,
     strict_unimodal: bool = False,
 ) -> OptimalReserve:
     """Reserve optimization on the Monte Carlo payoff curve.
 
-    A coarse scan guards the curve's observed unimodality with a
-    noise-adjusted tolerance before golden section runs; a failed guard
-    falls back to the scan's fine grid (or raises when
-    ``strict_unimodal``). A final local grid polish sharpens the golden
-    section bracket against residual Monte Carlo jitter.
+    The guarded search the single-buyer optimizer runs, with the guard
+    tolerance widened by the estimates' standard errors; a failed guard
+    falls back to a coarser grid (or raises when ``strict_unimodal``).
+    A final local grid polish sharpens the golden section bracket
+    against residual Monte Carlo jitter.
     """
     _check_samples(n)
     lo, hi = feasible_reserve_bounds(cfg)
@@ -316,29 +311,17 @@ def optimize_reserve_multi(
     if hi <= lo:
         return OptimalReserve(0.0, baseline, 1, (0.0, lo))
 
-    def payoff(c: float) -> float:
-        return expected_payoff_multi(cfg, c, n=n, seed=seed)[0]
-
-    grid = np.linspace(lo, hi, guard_points)
-    means = []
-    ses = []
-    for c in grid:
-        m, se = expected_payoff_multi(cfg, float(c), n=n, seed=seed)
-        means.append(m)
-        ses.append(se)
-    noise_tol = 1e-4 * cfg.r_lte + 6.0 * float(np.median(ses))
-    if has_interior_dip(means, noise_tol):
-        c_star, best_val = grid_fallback(payoff, lo, hi, FALLBACK_GRID_POINTS, strict_unimodal)
-    else:
-        width = 1e-3 * cfg.dist.r_max
-        c_star, best_val = golden_section_max(payoff, lo, hi, width_tol=width)
-        polish = np.linspace(
-            max(lo, c_star - 5 * width), min(hi, c_star + 5 * width), 11
-        )
-        for c in polish:
-            v = payoff(float(c))
-            if v > best_val:
-                c_star, best_val = float(c), v
+    width = 1e-3 * cfg.dist.r_max
+    c_star, best_val = _search_reserve(
+        lambda c: expected_payoff_multi(cfg, c, n=n),
+        lo,
+        hi,
+        cfg.r_lte,
+        fallback_points=FALLBACK_GRID_POINTS,
+        width=width,
+        refine=lambda c: np.linspace(max(lo, c - 5 * width), min(hi, c + 5 * width), 11),
+        strict=strict_unimodal,
+    )
     if baseline >= best_val:
         return OptimalReserve(0.0, baseline, 1, (0.0, lo))
     case = 2 if cfg.r_lte <= cfg.dist.r_max else 3

@@ -83,65 +83,52 @@ def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:
     return k * (k - 1) * val
 
 
-def expected_payment(cfg: MarketConfig, c: float) -> float:
-    """Expected rate allocated to the winning seller under reserve ``c``
-    (zero when no one wins).
+def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
+    """Buyer's expected payoff and the expected payment at reserve
+    ``c`` under equilibrium bidding, from one regime dispatch.
 
-    Standard regime: quadrature of the second-lowest-type payment below
-    ``c`` plus the reserve-capped mass above it. Mid regime: the reserve
-    times the probability anyone sells. High regime: the full
-    second-lowest-type expectation.
+    Payment (the rate allocated to the winning seller, zero when no one
+    wins): in the standard regime, a quadrature of the
+    second-lowest-type payment below ``c`` plus the reserve-capped mass
+    above it; in the mid regime, the reserve times the probability
+    anyone sells; in the high regime, the full second-lowest-type
+    expectation. The payoff is continuous in ``c`` across regime
+    boundaries.
     """
-    dist = cfg.dist
-    regime = classify_regime(cfg, c)
-    if regime.kind is RegimeKind.LOW:
-        return 0.0
-    if regime.kind is RegimeKind.MID:
-        r_x = solve_threshold_mid(cfg, c)
-        sell_prob = 1.0 - (1.0 - dist.cdf(r_x)) ** cfg.k
-        return c * sell_prob
-    if regime.kind is RegimeKind.HIGH:
-        return _second_lowest_integral(cfg, dist.r_max)
-    r_t = solve_threshold_standard(cfg, c)
-    f_c = dist.cdf(c)
-    f_t = dist.cdf(r_t)
-    return (
-        _second_lowest_integral(cfg, c)
-        + cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
-        + c * ((1.0 - f_c) ** cfg.k - (1.0 - f_t) ** cfg.k)
-    )
-
-
-def expected_payoff(cfg: MarketConfig, c: float) -> float:
-    """Buyer's expected payoff under equilibrium bidding at reserve
-    ``c``; continuous in ``c`` across regime boundaries."""
     dist = cfg.dist
     r = cfg.r_lte
     regime = classify_regime(cfg, c)
     if regime.kind is RegimeKind.LOW:
-        return cfg.delta_lte * r
-    if regime.kind is RegimeKind.MID:
+        payoff, payment = cfg.delta_lte * r, 0.0
+    elif regime.kind is RegimeKind.MID:
         r_x = solve_threshold_mid(cfg, c)
         none_sells = (1.0 - dist.cdf(r_x)) ** cfg.k
-        return none_sells * cfg.delta_lte * r + (1.0 - none_sells) * (r - c)
-    if regime.kind is RegimeKind.HIGH:
-        return r - _second_lowest_integral(cfg, dist.r_max)
-    r_t = solve_threshold_standard(cfg, c)
-    none_sells = (1.0 - dist.cdf(r_t)) ** cfg.k
-    return (
-        none_sells * cfg.delta_lte * r
-        + (1.0 - none_sells) * r
-        - expected_payment(cfg, c)
-    )
+        payment = c * (1.0 - none_sells)
+        payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * (r - c)
+    elif regime.kind is RegimeKind.HIGH:
+        payment = _second_lowest_integral(cfg, dist.r_max)
+        payoff = r - payment
+    else:
+        r_t = solve_threshold_standard(cfg, c)
+        f_c = dist.cdf(c)
+        none_sells = (1.0 - dist.cdf(r_t)) ** cfg.k
+        payment = (
+            _second_lowest_integral(cfg, c)
+            + cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
+            + c * ((1.0 - f_c) ** cfg.k - none_sells)
+        )
+        payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * r - payment
+    return PayoffCurvePoint(c, payoff, regime, payment)
 
 
-def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
-    return PayoffCurvePoint(
-        c=c,
-        expected_payoff=expected_payoff(cfg, c),
-        regime=classify_regime(cfg, c),
-        expected_payment=expected_payment(cfg, c),
-    )
+def expected_payment(cfg: MarketConfig, c: float) -> float:
+    """Expected rate allocated to the winning seller under reserve ``c``."""
+    return curve_point(cfg, c).expected_payment
+
+
+def expected_payoff(cfg: MarketConfig, c: float) -> float:
+    """Buyer's expected payoff under equilibrium bidding at reserve ``c``."""
+    return curve_point(cfg, c).expected_payoff
 
 
 def payoff_curve(cfg: MarketConfig, c_values) -> list[PayoffCurvePoint]:
@@ -153,24 +140,39 @@ def capacity_threshold(cfg: MarketConfig) -> float:
     return cfg.low_regime_cap / (1.0 - cfg.delta_lte)
 
 
-def grid_fallback(payoff, lo: float, hi: float, points: int, strict: bool) -> tuple[float, float]:
-    """``(c, payoff(c))`` at the best point of a fine grid on [lo, hi]:
-    the search used once a guard scan has found a dip, or
-    NonUnimodalCurve when ``strict``."""
-    if strict:
-        raise NonUnimodalCurve("payoff curve failed the unimodality guard scan")
-    fine = np.linspace(lo, hi, points)
-    values = [payoff(float(c)) for c in fine]
-    best = int(np.argmax(values))
-    return float(fine[best]), float(values[best])
+def _search_reserve(
+    estimate, lo: float, hi: float, r_lte: float, *, fallback_points: int, width: float,
+    refine, strict: bool,
+) -> tuple[float, float]:
+    """Guarded maximization of a payoff curve on [lo, hi], shared by the
+    single- and multi-buyer optimizers; returns ``(c, value)``.
+
+    ``estimate(c)`` returns ``(value, standard error)``; an exact curve
+    reports 0. A scan of GUARD_POINTS reserves tests the curve for an
+    interior dip beyond ``1e-4 * r_lte`` plus six median standard
+    errors. A dip raises NonUnimodalCurve when ``strict`` and otherwise
+    returns the best point of a ``fallback_points`` grid. A unimodal
+    scan runs golden section down to ``width``; each candidate of
+    ``refine(c)`` then replaces the optimum when it is strictly better.
+    """
+    scan = [estimate(float(c)) for c in np.linspace(lo, hi, GUARD_POINTS)]
+    tol = 1e-4 * r_lte + 6.0 * float(np.median([se for _, se in scan]))
+    if has_interior_dip([v for v, _ in scan], tol):
+        if strict:
+            raise NonUnimodalCurve("payoff curve failed the unimodality guard scan")
+        fine = np.linspace(lo, hi, fallback_points)
+        values = [estimate(float(c))[0] for c in fine]
+        best = int(np.argmax(values))
+        return float(fine[best]), float(values[best])
+    c_star, best = golden_section_max(lambda c: estimate(c)[0], lo, hi, width_tol=width)
+    for c in refine(c_star):
+        value = estimate(float(c))[0]
+        if value > best:
+            c_star, best = float(c), value
+    return c_star, best
 
 
-def optimize_reserve(
-    cfg: MarketConfig,
-    *,
-    guard_points: int = GUARD_POINTS,
-    strict_unimodal: bool = False,
-) -> OptimalReserve:
+def optimize_reserve(cfg: MarketConfig, *, strict_unimodal: bool = False) -> OptimalReserve:
     """Optimal reserve rate.
 
     Case 1 (throughput at or below the capacity threshold): any reserve
@@ -195,22 +197,15 @@ def optimize_reserve(
     else:
         case, hi = 3, cfg.dist.r_max
 
-    grid = np.linspace(low_cap, hi, guard_points)
-    values = [expected_payoff(cfg, float(c)) for c in grid]
-    if has_interior_dip(values, 1e-4 * r):
-        c_star, best = grid_fallback(
-            lambda c: expected_payoff(cfg, c), low_cap, hi, FALLBACK_GRID_POINTS, strict_unimodal
-        )
-        return OptimalReserve(c_star, best, case)
-
-    c_star, best = golden_section_max(
-        lambda c: expected_payoff(cfg, c),
+    c_star, best = _search_reserve(
+        lambda c: (expected_payoff(cfg, c), 0.0),
         low_cap,
         hi,
-        width_tol=1e-4 * cfg.dist.r_max,
+        r,
+        fallback_points=FALLBACK_GRID_POINTS,
+        width=1e-4 * cfg.dist.r_max,
+        # The boundary hi is a candidate the interior search can miss.
+        refine=lambda c: (hi,),
+        strict=strict_unimodal,
     )
-    # The boundary hi is a candidate the interior search can miss.
-    edge = expected_payoff(cfg, hi)
-    if edge > best:
-        c_star, best = hi, edge
     return OptimalReserve(float(c_star), float(best), case)

@@ -1,0 +1,100 @@
+"""The guarded reserve search both optimizers share, the closed-form
+payoff's single regime dispatch, and the CLI's refusal exit code."""
+import json
+
+import numpy as np
+import pytest
+
+from spectrum_auction import (
+    CertificationFailed,
+    MultiMarketConfig,
+    NonUnimodalCurve,
+    TypeDistribution,
+    optimize_reserve,
+    optimize_reserve_multi,
+)
+from spectrum_auction import provider
+from spectrum_auction.cli import main, parse_market
+from spectrum_auction.presets import preset
+from spectrum_auction.provider import _search_reserve, curve_point
+
+
+def two_peaks(c):
+    """Exact curve with an interior dip: peaks near 2 and 8."""
+    return float(np.exp(-((c - 2.0) ** 2)) + 2.0 * np.exp(-((c - 8.0) ** 2)))
+
+
+def search(estimate, refine=lambda c: (), strict=False):
+    return _search_reserve(estimate, 0.0, 10.0, 10.0, fallback_points=501, width=1e-6,
+                           refine=refine, strict=strict)
+
+
+class TestSearchReserve:
+    def test_dip_falls_back_to_the_best_grid_point(self):
+        refined = []
+        c, value = search(lambda c: (two_peaks(c), 0.0), refine=lambda c: refined.append(c) or ())
+        fine = np.linspace(0.0, 10.0, 501)
+        best = int(np.argmax([two_peaks(float(x)) for x in fine]))
+        assert (c, value) == (float(fine[best]), two_peaks(float(fine[best])))
+        assert refined == []
+
+    def test_dip_refused_when_strict(self):
+        with pytest.raises(NonUnimodalCurve):
+            search(lambda c: (two_peaks(c), 0.0), strict=True)
+
+    def test_standard_errors_widen_the_guard_tolerance(self):
+        # six median standard errors swallow the dip: golden section runs
+        refined = []
+        search(lambda c: (two_peaks(c), 1.0), refine=lambda c: refined.append(c) or (), strict=True)
+        assert len(refined) == 1
+
+    def test_strictly_better_refinement_replaces_the_optimum(self):
+        c, value = search(lambda c: (c, 0.0), refine=lambda c: (10.0, c))
+        assert (c, value) == (10.0, 10.0)
+
+
+@pytest.fixture(scope="module")
+def appendix_market():
+    return parse_market(preset("appendixK"))
+
+
+def test_strict_optimize_on_a_unimodal_preset_is_the_default(appendix_market):
+    assert optimize_reserve(appendix_market, strict_unimodal=True) == optimize_reserve(appendix_market)
+
+
+def test_strict_multi_optimize_on_a_unimodal_market_is_the_default():
+    cfg = MultiMarketConfig(4, 2, TypeDistribution.truncated_normal(125, 50, 50, 200),
+                            0.3, 0.4, 0.5, 200.0)
+    strict = optimize_reserve_multi(cfg, n=2000, strict_unimodal=True)
+    assert strict == optimize_reserve_multi(cfg, n=2000)
+
+
+def test_standard_regime_point_runs_one_quadrature(appendix_market, monkeypatch):
+    calls = []
+    quad = provider.simpson_with_doubling
+    monkeypatch.setattr(provider, "simpson_with_doubling",
+                        lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    assert curve_point(appendix_market, 120.0).regime.kind.value == "standard"
+    assert len(calls) == 1
+
+
+class TestRefusalExitCodes:
+    def run(self, capsys, *args):
+        code = main(list(args))
+        return code, json.loads(capsys.readouterr().err)
+
+    def test_non_unimodal_curve_maps_to_3(self, capsys, monkeypatch):
+        def refuse(cfg, **kwargs):
+            raise NonUnimodalCurve("synthetic")
+
+        monkeypatch.setattr("spectrum_auction.cli.provider.optimize_reserve", refuse)
+        code, err = self.run(capsys, "optimize", "--preset", "appendixK")
+        assert (code, err["error"]) == (3, "NonUnimodalCurve")
+
+    def test_certification_failed_maps_to_3(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise CertificationFailed(60.0, None, 0.5, 0.01)
+
+        monkeypatch.setattr("spectrum_auction.cli.oracle.best_response_check", refuse)
+        code, err = self.run(capsys, "verify", "--preset", "appendixK", "--c", "55")
+        assert (code, err["error"]) == (3, "CertificationFailed")
