@@ -99,6 +99,16 @@ def _second_price(
     return Mode.COOPERATION, winner, winner, price
 
 
+def second_price_rows(bids: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The auction rule on every row of a bid matrix: (cooperation
+    mask, allocated price). The price is the reserve-capped second-lowest
+    bid, which is also the tied bid on a tie, and zero when every seller
+    abstains. No draw is needed: neither output depends on who wins."""
+    coop = np.isfinite(bids.min(axis=1))
+    second = np.partition(bids, 1, axis=1)[:, 1]
+    return coop, np.where(coop, np.minimum(c, second), 0.0)
+
+
 def _resolve_values(values: np.ndarray, c: float, rng: RngStream) -> AuctionOutcome:
     """Array-level single-buyer auction: the shared rule with no shared
     sellers."""

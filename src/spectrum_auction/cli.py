@@ -23,19 +23,13 @@ from . import multi_lte, oracle, provider, simulation
 from .distributions import TypeDistribution
 from .equilibrium import MarketConfig, RegimeKind, solve_strategy
 from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
-from .multi_lte import MultiExperimentConfig, MultiMarketConfig
+from .multi_lte import MultiMarketConfig
 from .presets import PRESETS, preset
 from .rng import RngStream
 from .simulation import ExperimentConfig
 
 _MAX_SEED = 2**64 - 1
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SPECTRUM_AUCTION_WORKERS", "1")))
-    except ValueError:
-        return 1
+_WORKERS_ENV = "SPECTRUM_AUCTION_WORKERS"
 
 
 _MARKET_KEYS = {"k", "eta_apo", "delta_lte", "r_lte", "dist"}
@@ -88,6 +82,15 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidConfig(message)
 
 
+def _integer(value, name: str) -> int:
+    """A count from a flag, a config or the environment: an int or an
+    integral float; bools, fractions and non-numbers are config errors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    _require(type(value) is int, f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(args) -> dict:
     if getattr(args, "preset", None):
         try:
@@ -123,7 +126,7 @@ def _parse_market_block(cfg: dict, label: str, keys: set[str], cls):
     block = _parse_block(cfg[label], keys, label)
     try:
         fields = {
-            key: int(v) if key.startswith("k") else float(v)
+            key: _integer(v, key) if key.startswith("k") else float(v)
             for key, v in block.items()
             if key != "dist"
         }
@@ -193,8 +196,9 @@ def _curve_grid(cfg: dict, args) -> np.ndarray:
     _require(c_min is not None and c_max is not None, "payoff-curve needs --c-min and --c-max")
     c_min, c_max = _checked_reserve(c_min, "c_min"), _checked_reserve(c_max, "c_max")
     _require(c_min < c_max, "need c_min < c_max")
-    _require(int(steps) >= 2, "need steps >= 2")
-    return np.linspace(c_min, c_max, int(steps))
+    steps = _integer(steps, "steps")
+    _require(steps >= 2, "need steps >= 2")
+    return np.linspace(c_min, c_max, steps)
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
@@ -243,17 +247,31 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _replications_and_seed(args, cfg: dict) -> tuple[int, int]:
-    """Replication count and master seed: the flag when given, else the
-    config value, else the default."""
+def _workers(args) -> int:
+    """Worker count: the flag when given, else the environment, else 1."""
+    value = args.workers
+    if value is None:
+        value = os.environ.get(_WORKERS_ENV, "1")
+        value = int(value) if value.strip().lstrip("-").isdecimal() else value
+    workers = _integer(value, "workers")
+    _require(workers >= 1, f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def _experiment_config(args, cfg: dict, market, **kwargs) -> ExperimentConfig:
+    """Either simulate command's config. Replications and seed come from
+    the flag, else the config, else the default; the config checks them."""
     reps = args.replications if args.replications is not None else cfg.get("replications", 5000)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     try:
-        reps, seed = int(reps), int(seed)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"replications and seed must be integers, got {reps!r}, {seed!r}")
-    _require(reps >= 1, f"replications must be >= 1, got {reps}")
-    return reps, _checked_seed(seed)
+        return ExperimentConfig(
+            market,
+            replications=_integer(reps, "replications"),
+            master_seed=_checked_seed(_integer(seed, "seed")),
+            **kwargs,
+        )
+    except ValueError as exc:
+        raise InvalidConfig(str(exc))
 
 
 # Per-replication CSV columns after the types and bids, and the result
@@ -315,14 +333,12 @@ def _multi_replication_rows(market: MultiMarketConfig, reps):
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    replications, seed = _replications_and_seed(args, cfg)
-    xcfg = ExperimentConfig(
-        market=market, replications=replications, master_seed=seed, sweep=cfg.get("sweep")
-    )
+    xcfg = _experiment_config(args, cfg, market, sweep=cfg.get("sweep"))
+    workers = _workers(args)
     cells = simulation.sweep_cells(xcfg)
     summaries = []
     for idx, cell in enumerate(cells):
-        result = simulation.run_experiment(cell, workers=args.workers)
+        result = simulation.run_experiment(cell, workers=workers)
         summaries.append(
             {
                 "params": {
@@ -385,12 +401,8 @@ def cmd_multi(args) -> int:
         _write_rows(args.output, ["c", "expected_payoff", "se"], rows)
         return 0
     # simulate
-    replications, seed = _replications_and_seed(args, cfg)
-    reserve = None if args.reserve is None else _checked_reserve(args.reserve, "reserve")
-    xcfg = MultiExperimentConfig(
-        market=market, replications=replications, master_seed=seed, reserve=reserve
-    )
-    result = multi_lte.run_experiment_multi(xcfg, workers=args.workers)
+    xcfg = _experiment_config(args, cfg, market, reserve=args.reserve)
+    result = multi_lte.run_experiment_multi(xcfg, workers=_workers(args))
     if args.output:
         header, rows = _multi_replication_rows(market, result.replications)
         _write_rows(args.output, header, rows)
@@ -436,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, help=f"worker processes (default: ${_WORKERS_ENV} or 1)")
     p.add_argument("--summary", help="summary JSON path (default: stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -459,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--reserve", type=float, help="force a reserve instead of optimizing")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, help=f"worker processes (default: ${_WORKERS_ENV} or 1)")
     p.add_argument("--summary", help="summary JSON path (default: stdout)")
     p.set_defaults(func=cmd_multi)
 

@@ -20,6 +20,7 @@ equilibrium arbitrarily.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -35,6 +36,13 @@ from .numerics import bisect_root, sign_change_brackets
 SCAN_POINTS = 10_000
 
 
+def require_count(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy
+    integers included, bools not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Market primitives: seller count, type law, interference discounts
@@ -47,8 +55,7 @@ class MarketConfig:
     r_lte: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("need at least two sellers (k >= 2)")
+        require_count("k", self.k, 2)
         if not 0.0 < self.eta_apo < 1.0:
             raise ValueError("eta_apo must lie in (0, 1)")
         if not 0.0 < self.delta_lte < 1.0:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .auction import Mode, _second_price, realized_apo_payoffs
+from .auction import AuctionOutcome, Mode, _second_price, realized_apo_payoffs, second_price_rows
 from .distributions import TypeDistribution
 from .equilibrium import (
     ABSTAIN_VALUE,
@@ -29,11 +29,13 @@ from .equilibrium import (
     MarketConfig,
     bid_values,
     bid as single_bid,
+    require_count,
 )
 from .errors import InfeasibleBid, InvalidProfile
 from .provider import OptimalReserve, _search_reserve
 from .rng import RngStream
-from .simulation import GainSummary, coexistence_benchmark, gain_summary, run_blocks
+from .simulation import ExperimentConfig, ExperimentResult, GainSummary, ReplicationRecord
+from .simulation import coexistence_benchmark, experiment, gain_summary, replicate
 
 FALLBACK_GRID_POINTS = 400
 MC_SAMPLES = 100_000
@@ -59,8 +61,8 @@ class MultiMarketConfig:
     r_lte: float
 
     def __post_init__(self):
-        if self.k_s < 2 or self.k_a < 2:
-            raise ValueError("need k_s >= 2 and k_a >= 2")
+        require_count("k_s", self.k_s, 2)
+        require_count("k_a", self.k_a, 2)
         for name in ("eta_apo", "delta_lte", "theta_lte"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -99,12 +101,10 @@ class VirtualBid:
 
 
 @dataclass(frozen=True)
-class MultiAuctionOutcome:
-    mode: Mode
-    winner: int | None
+class MultiAuctionOutcome(AuctionOutcome):
+    """An outcome plus the winner's population and the virtual price."""
+
     winner_origin: Origin | None
-    channel: int
-    r_pay: float
     virtual_price: float
 
 
@@ -159,6 +159,16 @@ def bid_values_alone(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.
     return bid_values(cfg.alone_market(), c, types)
 
 
+def bid_values_virtual(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
+    """Virtual bids along the last axis of ``types``, whose first
+    ``k_s`` entries are shared sellers' types and the rest alone ones'."""
+    k_s = cfg.k_s
+    return np.concatenate(
+        [bid_values_shared(cfg, c, types[..., :k_s]), bid_values_alone(cfg, c, types[..., k_s:])],
+        axis=-1,
+    )
+
+
 def _resolve_virtual_values(
     values: np.ndarray, k_s: int, cfg: MultiMarketConfig, c: float, rng: RngStream
 ) -> MultiAuctionOutcome:
@@ -167,12 +177,12 @@ def _resolve_virtual_values(
     price minus the normalization offset."""
     mode, winner, channel, price = _second_price(values, c, rng, k_s)
     if mode is Mode.COMPETITION:
-        return MultiAuctionOutcome(mode, None, None, channel, 0.0, 0.0)
+        return MultiAuctionOutcome(mode, None, channel, 0.0, None, 0.0)
     if winner < k_s:
         return MultiAuctionOutcome(
-            mode, winner, Origin.SHARED, channel, price - cfg.shared_offset, price
+            mode, winner, channel, price - cfg.shared_offset, Origin.SHARED, price
         )
-    return MultiAuctionOutcome(mode, winner, Origin.ALONE, channel, price, price)
+    return MultiAuctionOutcome(mode, winner, channel, price, Origin.ALONE, price)
 
 
 def resolve_multi(
@@ -220,27 +230,6 @@ def apo_payoffs_multi(
 # ---------------------------------------------------------------------------
 
 
-def _virtual_price_per_row(
-    cfg: MultiMarketConfig, c: float, types_s: np.ndarray, types_a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cooperation mask, second virtual price) per sampled type row."""
-    vals = np.concatenate(
-        [bid_values_shared(cfg, c, types_s), bid_values_alone(cfg, c, types_a)],
-        axis=1,
-    )
-    m = vals.min(axis=1)
-    second = np.partition(vals, 1, axis=1)[:, 1]
-    coop = np.isfinite(m)
-    return coop, np.where(coop, np.minimum(c, second), 0.0)
-
-
-def _lte_payoffs_for_pool(
-    cfg: MultiMarketConfig, c: float, types_s: np.ndarray, types_a: np.ndarray
-) -> np.ndarray:
-    coop, price = _virtual_price_per_row(cfg, c, types_s, types_a)
-    return np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
-
-
 def _check_samples(n: int) -> None:
     """The antithetic estimator pairs rows and needs two pairs for a
     standard error."""
@@ -256,8 +245,7 @@ def _type_pool(dist: TypeDistribution, k_s: int, k_a: int, n: int, seed: int):
     half = n // 2
     u = rng.uniforms(half, k_s + k_a)
     u = np.concatenate([u, 1.0 - u], axis=0)
-    types = np.asarray(dist.inverse_cdf(u), dtype=float)
-    return types[:, :k_s], types[:, k_s:]
+    return np.asarray(dist.inverse_cdf(u), dtype=float)
 
 
 def expected_payoff_multi(
@@ -271,8 +259,9 @@ def expected_payoff_multi(
     expected payoff at reserve ``c``; antithetic pairing over one pooled
     draw set per (n, seed)."""
     _check_samples(n)
-    types_s, types_a = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
-    pay = _lte_payoffs_for_pool(cfg, c, types_s, types_a)
+    types = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
+    coop, price = second_price_rows(bid_values_virtual(cfg, c, types), c)
+    pay = np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
     half = len(pay) // 2
     pairs = 0.5 * (pay[:half] + pay[half:])
     return float(pay.mean()), float(pairs.std(ddof=1) / math.sqrt(half))
@@ -333,37 +322,17 @@ def optimize_reserve_multi(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiExperimentConfig:
-    """Experiment setup; ``reserve`` forces a fixed reserve rate instead
-    of optimizing (useful for studying off-optimum play)."""
-
-    market: MultiMarketConfig
-    replications: int = 5000
-    master_seed: int = 0
-    reserve: float | None = None
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+# The experiment config is shared: a multi-buyer experiment is a
+# single-buyer one whose market has shared sellers.
+MultiExperimentConfig = ExperimentConfig
 
 
 @dataclass(frozen=True)
-class MultiReplicationResult:
-    rep: int
-    types: tuple[float, ...]
-    bids: tuple[float, ...]  # virtual bids, abstention as +inf
-    mode: Mode
-    winner: int | None
+class MultiReplicationResult(ReplicationRecord):
+    """A replication record whose ``bids`` are virtual bids."""
+
     winner_origin: Origin | None
-    r_pay: float
     virtual_price: float
-    auction_lte: float
-    auction_apo_total: float
-    bench_lte: float
-    bench_apo_total: float
-    welfare_auction: float
-    welfare_bench: float
     # |theta*R - r_pay - (R - virtual_price)| for shared winners, else 0
     identity_residual: float
 
@@ -372,12 +341,6 @@ class MultiReplicationResult:
 class MultiMetricsSummary(GainSummary):
     shared_wins: int
     max_identity_residual: float
-
-
-@dataclass(frozen=True)
-class MultiExperimentResult:
-    summary: MultiMetricsSummary
-    replications: tuple[MultiReplicationResult, ...]
 
 
 def run_auction_replication_multi(
@@ -393,12 +356,7 @@ def run_auction_replication_multi(
         types = cfg.dist.sample_n(rng, cfg.k_s + cfg.k_a)
     else:
         types = np.asarray(types, dtype=float)
-    vals = np.concatenate(
-        [
-            bid_values_shared(cfg, c_star, types[: cfg.k_s]),
-            bid_values_alone(cfg, c_star, types[cfg.k_s :]),
-        ]
-    )
+    vals = bid_values_virtual(cfg, c_star, types)
     outcome = _resolve_virtual_values(vals, cfg.k_s, cfg, c_star, rng)
     lte = lte_payoff_multi(outcome, cfg)
     apo = apo_payoffs_multi(outcome, types, cfg)
@@ -414,11 +372,14 @@ def run_benchmark_replication_multi(cfg: MultiMarketConfig, types, rng: RngStrea
 def _run_replication_multi(
     cfg: MultiMarketConfig, c_star: float, rep: int, master_seed: int
 ) -> MultiReplicationResult:
-    rng = RngStream(master_seed, rep)
-    a_lte, a_apo, w_a, types, vals, outcome = run_auction_replication_multi(
-        cfg, c_star, rng
+    fields, outcome = replicate(
+        run_auction_replication_multi,
+        run_benchmark_replication_multi,
+        cfg,
+        c_star,
+        rep,
+        master_seed,
     )
-    b_lte, b_apo, w_b, _ = run_benchmark_replication_multi(cfg, types, rng)
     residual = 0.0
     if outcome.winner_origin is Origin.SHARED:
         residual = abs(
@@ -427,20 +388,9 @@ def _run_replication_multi(
             - (cfg.r_lte - outcome.virtual_price)
         )
     return MultiReplicationResult(
-        rep=rep,
-        types=tuple(float(t) for t in types),
-        bids=tuple(float(v) for v in vals),
-        mode=outcome.mode,
-        winner=outcome.winner,
+        **fields,
         winner_origin=outcome.winner_origin,
-        r_pay=outcome.r_pay,
         virtual_price=outcome.virtual_price,
-        auction_lte=a_lte,
-        auction_apo_total=float(a_apo.sum()),
-        bench_lte=b_lte,
-        bench_apo_total=float(b_apo.sum()),
-        welfare_auction=w_a,
-        welfare_bench=w_b,
         identity_residual=residual,
     )
 
@@ -464,14 +414,7 @@ def summarize_multi(reps, c_star: float) -> MultiMetricsSummary:
     )
 
 
-def run_experiment_multi(
-    xcfg: MultiExperimentConfig, workers: int = 1
-) -> MultiExperimentResult:
+def run_experiment_multi(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all multi-buyer replications; deterministic for a fixed
     master seed regardless of ``workers``."""
-    cfg = xcfg.market
-    c_star = xcfg.reserve if xcfg.reserve is not None else optimize_reserve_multi(cfg).c_star
-    reps = run_blocks(
-        _run_block_multi, cfg, c_star, xcfg.replications, xcfg.master_seed, workers
-    )
-    return MultiExperimentResult(summarize_multi(reps, c_star), tuple(reps))
+    return experiment(xcfg, workers, optimize_reserve_multi, _run_block_multi, summarize_multi)

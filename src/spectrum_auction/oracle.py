@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .auction import second_price_rows
 from .distributions import UNIFORM
 from .equilibrium import (
     ABSTAIN_VALUE,
@@ -81,24 +82,15 @@ def sample_type_matrix(cfg: MarketConfig, n: int, rng: RngStream, columns: int |
     return np.asarray(cfg.dist.inverse_cdf(rng.uniforms(n, cols)), dtype=float)
 
 
-def _payments(cfg: MarketConfig, c: float, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cooperation mask, allocated rate) per type row under equilibrium
-    bidding; the rate is zero when no one sells."""
-    bids = bid_values(cfg, c, types)
-    coop = np.isfinite(bids.min(axis=1))
-    second = np.partition(bids, 1, axis=1)[:, 1]
-    return coop, np.where(coop, np.minimum(c, second), 0.0)
-
-
 def lte_payoffs_for_types(cfg: MarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Vectorized buyer payoff per type row under equilibrium bidding."""
-    coop, r_pay = _payments(cfg, c, types)
+    coop, r_pay = second_price_rows(bid_values(cfg, c, types), c)
     return np.where(coop, cfg.r_lte - r_pay, cfg.delta_lte * cfg.r_lte)
 
 
 def payments_for_types(cfg: MarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Vectorized allocated rate per type row (zero when no one sells)."""
-    return _payments(cfg, c, types)[1]
+    return second_price_rows(bid_values(cfg, c, types), c)[1]
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:

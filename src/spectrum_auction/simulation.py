@@ -10,13 +10,14 @@ any worker count.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .auction import Mode, _resolve_values, lte_payoff, realized_apo_payoffs
-from .equilibrium import MarketConfig, bid_values
+from .equilibrium import MarketConfig, bid_values, require_count
 from .provider import optimize_reserve
 from .rng import RngStream
 
@@ -25,8 +26,11 @@ SWEEP_KEYS = ("r_lte", "k", "delta_lte", "eta_apo")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Experiment setup; ``reserve`` forces a fixed reserve rate instead
-    of optimizing (useful for studying off-optimum play)."""
+    """Experiment setup for either buyer model: ``market`` is a
+    ``MarketConfig`` or a ``MultiMarketConfig``. ``reserve`` forces a
+    fixed reserve rate instead of optimizing (useful for studying
+    off-optimum play); ``sweep`` maps ``SWEEP_KEYS`` to non-empty lists
+    of market values, and every cell must build a valid market."""
 
     market: MarketConfig
     replications: int = 5000
@@ -35,16 +39,17 @@ class ExperimentConfig:
     reserve: float | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.sweep:
-            unknown = set(self.sweep) - set(SWEEP_KEYS)
-            if unknown:
-                raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
+        require_count("replications", self.replications, 1)
+        if self.reserve is not None and not 0.0 <= self.reserve < math.inf:
+            raise ValueError(f"reserve must be finite and >= 0, got {self.reserve!r}")
+        if self.sweep is not None:
+            sweep_cells(self)
 
 
 @dataclass(frozen=True)
-class ReplicationResult:
+class ReplicationRecord:
+    """Per-replication fields both buyer models report."""
+
     rep: int
     types: tuple[float, ...]
     bids: tuple[float, ...]  # abstention encoded as +inf
@@ -57,6 +62,10 @@ class ReplicationResult:
     bench_apo_total: float
     welfare_auction: float
     welfare_bench: float
+
+
+@dataclass(frozen=True)
+class ReplicationResult(ReplicationRecord):
     welfare_max: float
 
 
@@ -84,8 +93,8 @@ class MetricsSummary(GainSummary):
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    summary: MetricsSummary
-    replications: tuple[ReplicationResult, ...]
+    summary: GainSummary
+    replications: tuple[ReplicationRecord, ...]
 
 
 def run_auction_replication(
@@ -151,12 +160,15 @@ def social_welfare_max(cfg: MarketConfig, types) -> float:
     return best
 
 
-def _run_replication(cfg: MarketConfig, c_star: float, rep: int, master_seed: int) -> ReplicationResult:
+def replicate(auction_fn, benchmark_fn, cfg, c_star: float, rep: int, master_seed: int):
+    """The body of replication ``rep`` for either buyer model: open
+    stream ``(master_seed, rep)``, run the model's auction, run its
+    benchmark on the same types, and return ``(fields, outcome)`` with
+    the :class:`ReplicationRecord` fields."""
     rng = RngStream(master_seed, rep)
-    a_lte, a_apo, w_a, types, bids, outcome = run_auction_replication(cfg, c_star, rng)
-    b_lte, b_apo, w_b, _ = run_benchmark_replication(cfg, types, rng)
-    w_max = social_welfare_max(cfg, types)
-    return ReplicationResult(
+    a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c_star, rng)
+    b_lte, b_apo, w_b, _ = benchmark_fn(cfg, types, rng)
+    fields = dict(
         rep=rep,
         types=tuple(float(t) for t in types),
         bids=tuple(float(b) for b in bids),
@@ -169,8 +181,15 @@ def _run_replication(cfg: MarketConfig, c_star: float, rep: int, master_seed: in
         bench_apo_total=float(b_apo.sum()),
         welfare_auction=w_a,
         welfare_bench=w_b,
-        welfare_max=w_max,
     )
+    return fields, outcome
+
+
+def _run_replication(cfg: MarketConfig, c_star: float, rep: int, master_seed: int) -> ReplicationResult:
+    fields, _ = replicate(
+        run_auction_replication, run_benchmark_replication, cfg, c_star, rep, master_seed
+    )
+    return ReplicationResult(**fields, welfare_max=social_welfare_max(cfg, fields["types"]))
 
 
 def _run_block(args) -> list[ReplicationResult]:
@@ -228,27 +247,42 @@ def summarize(reps, c_star: float) -> MetricsSummary:
     )
 
 
+def experiment(xcfg: ExperimentConfig, workers: int, optimize, block_fn, summarize_fn):
+    """Either buyer model's experiment: the forced reserve or the
+    model's optimum, every replication block, then its summary."""
+    cfg = xcfg.market
+    c_star = xcfg.reserve if xcfg.reserve is not None else optimize(cfg).c_star
+    reps = run_blocks(block_fn, cfg, c_star, xcfg.replications, xcfg.master_seed, workers)
+    return ExperimentResult(summarize_fn(reps, c_star), tuple(reps))
+
+
 def run_experiment(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and aggregate.
 
     The optimal reserve is computed once up front. Deterministic for a
     fixed master seed regardless of ``workers``.
     """
-    cfg = xcfg.market
-    c_star = xcfg.reserve if xcfg.reserve is not None else optimize_reserve(cfg).c_star
-    reps = run_blocks(_run_block, cfg, c_star, xcfg.replications, xcfg.master_seed, workers)
-    return ExperimentResult(summarize(reps, c_star), tuple(reps))
+    return experiment(xcfg, workers, optimize_reserve, _run_block, summarize)
 
 
 def sweep_cells(xcfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """Expand the cartesian sweep grid into per-cell configs."""
-    if not xcfg.sweep:
+    """Expand the cartesian sweep grid into per-cell configs. Raises
+    ``ValueError`` unless the sweep maps ``SWEEP_KEYS`` to non-empty
+    lists whose every cell builds a valid market."""
+    sweep = xcfg.sweep
+    if sweep is None:
         return [xcfg]
-    keys = [k for k in SWEEP_KEYS if k in xcfg.sweep]
+    if not isinstance(sweep, dict) or not set(sweep) <= set(SWEEP_KEYS):
+        raise ValueError(f"sweep must map some of {SWEEP_KEYS} to lists, got {sweep!r}")
+    keys = [k for k in SWEEP_KEYS if k in sweep]
+    if not all(isinstance(sweep[k], (list, tuple)) and sweep[k] for k in keys):
+        raise ValueError(f"every sweep value must be a non-empty list, got {sweep!r}")
     cells = []
-    for combo in itertools.product(*(xcfg.sweep[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        market = replace(xcfg.market, **overrides)
+    for combo in itertools.product(*(sweep[k] for k in keys)):
+        try:
+            market = replace(xcfg.market, **dict(zip(keys, combo)))
+        except TypeError as exc:
+            raise ValueError(f"sweep cell {combo} is not a valid market: {exc}") from exc
         cells.append(replace(xcfg, market=market, sweep=None))
     return cells
 
