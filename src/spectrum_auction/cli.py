@@ -91,6 +91,16 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A real value from a flag or a config: an int or a float; bools,
+    text and other values are config errors."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"{name} must be a number, got {value!r}",
+    )
+    return float(value)
+
+
 def load_config(args) -> dict:
     if getattr(args, "preset", None):
         try:
@@ -121,16 +131,23 @@ def _parse_block(block: dict, keys: set[str], label: str) -> dict:
 
 def _parse_market_block(cfg: dict, label: str, keys: set[str], cls):
     """Build ``cls`` from the ``label`` block: seller counts are ints,
-    ``dist`` a type law, every other key a float."""
+    ``dist`` a type law whose every key but ``kind`` is a number (or
+    null), every other key a number."""
     _require(label in cfg, f"config needs a '{label}' block")
     block = _parse_block(cfg[label], keys, label)
+    dist = block["dist"]
+    _require(isinstance(dist, dict), "distribution config must be an object")
+    dist = {
+        key: v if key == "kind" or v is None else _number(v, f"dist.{key}")
+        for key, v in dist.items()
+    }
+    fields = {
+        key: _integer(v, key) if key.startswith("k") else _number(v, key)
+        for key, v in block.items()
+        if key != "dist"
+    }
     try:
-        fields = {
-            key: _integer(v, key) if key.startswith("k") else float(v)
-            for key, v in block.items()
-            if key != "dist"
-        }
-        return cls(dist=TypeDistribution.from_config(block["dist"]), **fields)
+        return cls(dist=TypeDistribution.from_config(dist), **fields)
     except (InvalidDistribution, ValueError, TypeError) as exc:
         raise InvalidConfig(str(exc))
 
@@ -150,10 +167,7 @@ def parse_multi_market(cfg: dict) -> MultiMarketConfig:
 
 def _checked_reserve(value, name: str) -> float:
     """A reserve rate from a flag or the config: a finite number >= 0."""
-    try:
-        c = float(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    c = _number(value, name)
     _require(math.isfinite(c) and c >= 0.0, f"{name} must be finite and >= 0, got {value!r}")
     return c
 

@@ -35,6 +35,11 @@ from .numerics import bisect_root, sign_change_brackets
 # for the uniqueness check.
 SCAN_POINTS = 10_000
 
+# Entries kept by each equilibrium cache. They are keyed on a float
+# reserve, so an unbounded cache grows with every distinct reserve a
+# session visits; one reserve optimization touches under a thousand.
+CACHE_SIZE = 4096
+
 
 def require_count(name: str, value, low: int) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer (numpy
@@ -270,7 +275,7 @@ def _solve_threshold(cfg: MarketConfig, c: float, lo: float, hi: float, residual
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_threshold_standard(cfg: MarketConfig, c: float) -> float:
     """Abstention threshold for a standard-regime reserve rate.
 
@@ -284,7 +289,7 @@ def solve_threshold_standard(cfg: MarketConfig, c: float) -> float:
     return _solve_threshold(cfg, c, c, cfg.dist.r_max, threshold_residual_standard)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_threshold_mid(cfg: MarketConfig, c: float) -> float:
     """Abstention threshold for a mid-regime reserve rate; root in
     ``(r_min, r_max)``."""
@@ -296,7 +301,7 @@ def solve_threshold_mid(cfg: MarketConfig, c: float) -> float:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_strategy(cfg: MarketConfig, c: float) -> EquilibriumStrategy:
     """Equilibrium strategy at reserve ``c``, thresholds included.
 

@@ -370,7 +370,7 @@ def run_benchmark_replication_multi(cfg: MultiMarketConfig, types, rng: RngStrea
 
 
 def _run_replication_multi(
-    cfg: MultiMarketConfig, c_star: float, rep: int, master_seed: int
+    cfg: MultiMarketConfig, c_star: float, rep: int, types, tail
 ) -> MultiReplicationResult:
     fields, outcome = replicate(
         run_auction_replication_multi,
@@ -378,7 +378,8 @@ def _run_replication_multi(
         cfg,
         c_star,
         rep,
-        master_seed,
+        types,
+        tail,
     )
     residual = 0.0
     if outcome.winner_origin is Origin.SHARED:
@@ -395,10 +396,10 @@ def _run_replication_multi(
     )
 
 
-def _run_block_multi(args) -> list[MultiReplicationResult]:
-    cfg, c_star, start, stop, master_seed = args
+def _run_block_multi(types, tails, args) -> list[MultiReplicationResult]:
+    cfg, c_star, start, stop, _ = args
     return [
-        _run_replication_multi(cfg, c_star, rep, master_seed)
+        _run_replication_multi(cfg, c_star, rep, types[rep], tails[rep])
         for rep in range(start, stop)
     ]
 
@@ -417,4 +418,5 @@ def summarize_multi(reps, c_star: float) -> MultiMetricsSummary:
 def run_experiment_multi(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all multi-buyer replications; deterministic for a fixed
     master seed regardless of ``workers``."""
-    return experiment(xcfg, workers, optimize_reserve_multi, _run_block_multi, summarize_multi)
+    k = xcfg.market.k_s + xcfg.market.k_a
+    return experiment(xcfg, workers, optimize_reserve_multi, _run_block_multi, summarize_multi, k)

@@ -3,13 +3,23 @@
 Each replication owns its own counter-based stream derived from
 ``(master_seed, stream_index)``, so results are identical under any
 worker schedule: stream ``i`` always produces the same draw sequence
-regardless of which process runs it or in what order.
+regardless of which process runs it or in what order. Because draw
+``j`` of a stream does not depend on how the draws before it were
+requested, a stream's first draws can be taken as one array and replayed
+later (:class:`DrawReplay`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 _U64_MAX = 2**64 - 1
+
+
+def pick_index(u: float, n: int) -> int:
+    """The uniform index in {0, ..., n-1} that the draw ``u`` selects."""
+    if n <= 0:
+        raise ValueError("pick needs n >= 1")
+    return min(int(u * n), n - 1)
 
 
 class RngStream:
@@ -45,9 +55,7 @@ class RngStream:
 
     def pick(self, n: int) -> int:
         """Uniform index in {0, ..., n-1}; consumes exactly one draw."""
-        if n <= 0:
-            raise ValueError("pick needs n >= 1")
-        return min(int(self.uniform() * n), n - 1)
+        return pick_index(self.uniform(), n)
 
     def reset(self) -> None:
         """Rewind the stream to its initial state."""
@@ -61,3 +69,21 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
+
+
+class DrawReplay:
+    """Replays pre-drawn uniforms, in order, through the
+    :meth:`RngStream.pick` interface, so code written against a stream
+    can consume draws taken earlier in a batch. A pick past the last
+    draw raises ``RuntimeError``."""
+
+    def __init__(self, draws):
+        self._draws = draws
+        self._used = 0
+
+    def pick(self, n: int) -> int:
+        """Uniform index in {0, ..., n-1}; consumes exactly one draw."""
+        if self._used == len(self._draws):
+            raise RuntimeError(f"draw replay is exhausted: it holds {len(self._draws)} draws")
+        self._used += 1
+        return pick_index(float(self._draws[self._used - 1]), n)

@@ -1,14 +1,21 @@
 """Monte Carlo experiment harness: auction scheme vs. random-coexistence
 benchmark, relative gains, and a centralized welfare upper bound.
 
-Replication ``i`` owns stream ``(master_seed, i)`` and consumes draws in
-a fixed order: the K type draws, then the auction tie-break (only when
-one is needed), then the benchmark channel pick. Aggregation is done on
-arrays ordered by replication index, so summaries are identical under
-any worker count.
+Replication ``i`` owns stream ``(master_seed, i)``. Before any
+replication runs, the experiment takes the first K+2 uniforms of every
+stream (K sellers) and maps the first K of each row to types with one
+inverse-CDF call over the whole (replications, K) block. The last two
+draws of a row are its tail, replayed in order: the auction's tie-break
+or competition pick (only when one is needed) reads draw K, and the
+benchmark channel pick reads the next unread one, draw K+1 after an
+auction pick and draw K otherwise. This is the order a replication
+drawing one value at a time from its stream would consume. Aggregation
+is done on arrays ordered by replication index, so summaries are
+identical under any worker count.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +26,7 @@ import numpy as np
 from .auction import Mode, _resolve_values, lte_payoff, realized_apo_payoffs
 from .equilibrium import MarketConfig, bid_values, require_count
 from .provider import optimize_reserve
-from .rng import RngStream
+from .rng import DrawReplay, RngStream
 
 SWEEP_KEYS = ("r_lte", "k", "delta_lte", "eta_apo")
 
@@ -160,13 +167,14 @@ def social_welfare_max(cfg: MarketConfig, types) -> float:
     return best
 
 
-def replicate(auction_fn, benchmark_fn, cfg, c_star: float, rep: int, master_seed: int):
-    """The body of replication ``rep`` for either buyer model: open
-    stream ``(master_seed, rep)``, run the model's auction, run its
-    benchmark on the same types, and return ``(fields, outcome)`` with
-    the :class:`ReplicationRecord` fields."""
-    rng = RngStream(master_seed, rep)
-    a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c_star, rng)
+def replicate(auction_fn, benchmark_fn, cfg, c_star: float, rep: int, types, tail):
+    """The body of replication ``rep`` for either buyer model: run the
+    model's auction on the pre-drawn ``types``, run its benchmark on the
+    same types, with both picks replayed from the two ``tail`` draws,
+    and return ``(fields, outcome)`` with the :class:`ReplicationRecord`
+    fields."""
+    rng = DrawReplay(tail)
+    a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c_star, rng, types)
     b_lte, b_apo, w_b, _ = benchmark_fn(cfg, types, rng)
     fields = dict(
         rep=rep,
@@ -185,16 +193,18 @@ def replicate(auction_fn, benchmark_fn, cfg, c_star: float, rep: int, master_see
     return fields, outcome
 
 
-def _run_replication(cfg: MarketConfig, c_star: float, rep: int, master_seed: int) -> ReplicationResult:
+def _run_replication(cfg: MarketConfig, c_star: float, rep: int, types, tail) -> ReplicationResult:
     fields, _ = replicate(
-        run_auction_replication, run_benchmark_replication, cfg, c_star, rep, master_seed
+        run_auction_replication, run_benchmark_replication, cfg, c_star, rep, types, tail
     )
     return ReplicationResult(**fields, welfare_max=social_welfare_max(cfg, fields["types"]))
 
 
-def _run_block(args) -> list[ReplicationResult]:
-    cfg, c_star, start, stop, master_seed = args
-    return [_run_replication(cfg, c_star, rep, master_seed) for rep in range(start, stop)]
+def _run_block(types, tails, args) -> list[ReplicationResult]:
+    cfg, c_star, start, stop, _ = args
+    return [
+        _run_replication(cfg, c_star, rep, types[rep], tails[rep]) for rep in range(start, stop)
+    ]
 
 
 def run_blocks(block_fn, cfg, c_star: float, n: int, seed: int, workers: int) -> list:
@@ -247,12 +257,24 @@ def summarize(reps, c_star: float) -> MetricsSummary:
     )
 
 
-def experiment(xcfg: ExperimentConfig, workers: int, optimize, block_fn, summarize_fn):
+def experiment(
+    xcfg: ExperimentConfig, workers: int, optimize, block_fn, summarize_fn, sellers: int
+):
     """Either buyer model's experiment: the forced reserve or the
-    model's optimum, every replication block, then its summary."""
+    model's optimum, every replication block, then its summary.
+
+    Each replication's first ``sellers + 2`` draws are taken here, and
+    its types come from one inverse-CDF call over all replications;
+    ``block_fn(types, tails, args)`` gets both, bound, in every block."""
     cfg = xcfg.market
     c_star = xcfg.reserve if xcfg.reserve is not None else optimize(cfg).c_star
-    reps = run_blocks(block_fn, cfg, c_star, xcfg.replications, xcfg.master_seed, workers)
+    n, seed = xcfg.replications, xcfg.master_seed
+    draws = np.empty((n, sellers + 2))
+    for rep in range(n):
+        draws[rep] = RngStream(seed, rep).uniforms(sellers + 2)
+    types = cfg.dist.inverse_cdf(draws[:, :sellers])
+    bound = functools.partial(block_fn, types, draws[:, sellers:])
+    reps = run_blocks(bound, cfg, c_star, n, seed, workers)
     return ExperimentResult(summarize_fn(reps, c_star), tuple(reps))
 
 
@@ -262,7 +284,7 @@ def run_experiment(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult
     The optimal reserve is computed once up front. Deterministic for a
     fixed master seed regardless of ``workers``.
     """
-    return experiment(xcfg, workers, optimize_reserve, _run_block, summarize)
+    return experiment(xcfg, workers, optimize_reserve, _run_block, summarize, xcfg.market.k)
 
 
 def sweep_cells(xcfg: ExperimentConfig) -> list[ExperimentConfig]:
