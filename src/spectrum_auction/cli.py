@@ -24,6 +24,7 @@ from .distributions import TypeDistribution
 from .equilibrium import MarketConfig, RegimeKind, solve_strategy
 from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
 from .multi_lte import MultiMarketConfig
+from .numerics import is_number
 from .presets import PRESETS, preset
 from .rng import RngStream
 from .simulation import ExperimentConfig
@@ -94,10 +95,7 @@ def _integer(value, name: str) -> int:
 def _number(value, name: str) -> float:
     """A real value from a flag or a config: an int or a float; bools,
     text and other values are config errors."""
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{name} must be a number, got {value!r}",
-    )
+    _require(is_number(value), f"{name} must be a number, got {value!r}")
     return float(value)
 
 
@@ -131,23 +129,17 @@ def _parse_block(block: dict, keys: set[str], label: str) -> dict:
 
 def _parse_market_block(cfg: dict, label: str, keys: set[str], cls):
     """Build ``cls`` from the ``label`` block: seller counts are ints,
-    ``dist`` a type law whose every key but ``kind`` is a number (or
-    null), every other key a number."""
+    ``dist`` a type law read by ``TypeDistribution.from_config`` (which
+    applies the same number rule), every other key a number."""
     _require(label in cfg, f"config needs a '{label}' block")
     block = _parse_block(cfg[label], keys, label)
-    dist = block["dist"]
-    _require(isinstance(dist, dict), "distribution config must be an object")
-    dist = {
-        key: v if key == "kind" or v is None else _number(v, f"dist.{key}")
-        for key, v in dist.items()
-    }
     fields = {
         key: _integer(v, key) if key.startswith("k") else _number(v, key)
         for key, v in block.items()
         if key != "dist"
     }
     try:
-        return cls(dist=TypeDistribution.from_config(dist), **fields)
+        return cls(dist=TypeDistribution.from_config(block["dist"]), **fields)
     except (InvalidDistribution, ValueError, TypeError) as exc:
         raise InvalidConfig(str(exc))
 

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidDistribution
+from .numerics import is_number
 from .rng import RngStream
 
 UNIFORM = "uniform"
@@ -51,6 +52,11 @@ class TypeDistribution:
     def __post_init__(self):
         if self.kind not in (UNIFORM, TRUNCATED_NORMAL):
             raise InvalidDistribution(f"unknown kind {self.kind!r}")
+        values = (self.r_min, self.r_max, self.mu, self.sigma)
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise InvalidDistribution(
+                f"r_min, r_max, mu and sigma must be finite, got {values}"
+            )
         if not (0.0 <= self.r_min < self.r_max):
             raise InvalidDistribution(
                 f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]"
@@ -155,7 +161,9 @@ class TypeDistribution:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TypeDistribution":
-        """Build from a JSON fragment; unknown keys are rejected."""
+        """Build from a JSON fragment; unknown keys are rejected. Bounds
+        are numbers (ints or floats, not bools or text); ``mu`` and
+        ``sigma`` are numbers or null."""
         if not isinstance(cfg, dict):
             raise InvalidDistribution("distribution config must be an object")
         allowed = {"kind", "r_min", "r_max", "mu", "sigma"}
@@ -165,10 +173,13 @@ class TypeDistribution:
         for key in ("kind", "r_min", "r_max"):
             if key not in cfg:
                 raise InvalidDistribution(f"missing distribution key {key!r}")
-        return cls(
-            kind=cfg["kind"],
-            r_min=float(cfg["r_min"]),
-            r_max=float(cfg["r_max"]),
-            mu=float(cfg["mu"]) if cfg.get("mu") is not None else None,
-            sigma=float(cfg["sigma"]) if cfg.get("sigma") is not None else None,
-        )
+        values = {}
+        for key in ("r_min", "r_max", "mu", "sigma"):
+            v = cfg.get(key)
+            if v is None and key in ("mu", "sigma"):
+                values[key] = None
+            elif is_number(v):
+                values[key] = float(v)
+            else:
+                raise InvalidDistribution(f"distribution {key} must be a number, got {v!r}")
+        return cls(kind=cfg["kind"], **values)

@@ -65,8 +65,8 @@ class MarketConfig:
             raise ValueError("eta_apo must lie in (0, 1)")
         if not 0.0 < self.delta_lte < 1.0:
             raise ValueError("delta_lte must lie in (0, 1)")
-        if not self.r_lte > 0.0:
-            raise ValueError("r_lte must be positive")
+        if not 0.0 < self.r_lte < math.inf:
+            raise ValueError("r_lte must be positive and finite")
 
     @property
     def externality_share(self) -> float:

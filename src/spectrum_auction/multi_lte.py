@@ -67,8 +67,8 @@ class MultiMarketConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.r_lte > 0.0:
-            raise ValueError("r_lte must be positive")
+        if not 0.0 < self.r_lte < math.inf:
+            raise ValueError("r_lte must be positive and finite")
 
     @property
     def shared_offset(self) -> float:
@@ -240,12 +240,28 @@ def _check_samples(n: int) -> None:
 @lru_cache(maxsize=8)
 def _type_pool(dist: TypeDistribution, k_s: int, k_a: int, n: int, seed: int):
     """Antithetic type pool shared across reserve rates (common random
-    numbers keep the Monte Carlo payoff curve smooth in c)."""
+    numbers keep the Monte Carlo payoff curve smooth in c), reduced to
+    the four types a row's payment can depend on.
+
+    Both bid maps are non-decreasing in type, in float arithmetic too:
+    the shared map is ``eta*t + offset`` capped at ``c``, and the alone
+    map is constant, a step or the identity in every regime. So a row's
+    two lowest virtual bids are bids of its two lowest shared types or
+    of its two lowest alone types (``k_s, k_a >= 2``). The pool is drawn
+    as the full ``(n, k_s + k_a)`` matrix, each group is sorted once,
+    and the result is a read-only ``(4, n)`` array: lowest and
+    second-lowest shared types, then lowest and second-lowest alone
+    types."""
     rng = RngStream(seed, 0)
     half = n // 2
     u = rng.uniforms(half, k_s + k_a)
     u = np.concatenate([u, 1.0 - u], axis=0)
-    return np.asarray(dist.inverse_cdf(u), dtype=float)
+    types = np.asarray(dist.inverse_cdf(u), dtype=float)
+    shared = np.sort(types[:, :k_s], axis=1)[:, :2]
+    alone = np.sort(types[:, k_s:], axis=1)[:, :2]
+    pool = np.ascontiguousarray(np.concatenate([shared, alone], axis=1).T)
+    pool.setflags(write=False)
+    return pool
 
 
 def expected_payoff_multi(
@@ -257,10 +273,19 @@ def expected_payoff_multi(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of provider 0's
     expected payoff at reserve ``c``; antithetic pairing over one pooled
-    draw set per (n, seed)."""
+    draw set per (n, seed).
+
+    A row's cooperation and price depend only on its two lowest virtual
+    bids, which monotone bid maps take from its two lowest types of each
+    group (see :func:`_type_pool`). So each reserve maps the pool's two
+    shared rows and two alone rows, not all ``k_s + k_a`` types, and the
+    estimate is bit-identical to one over the full matrix."""
     _check_samples(n)
-    types = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
-    coop, price = second_price_rows(bid_values_virtual(cfg, c, types), c)
+    pool = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
+    bids = np.concatenate(
+        [bid_values_shared(cfg, c, pool[:2]), bid_values_alone(cfg, c, pool[2:])]
+    )
+    coop, price = second_price_rows(bids.T, c)
     pay = np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
     half = len(pay) // 2
     pairs = 0.5 * (pay[:half] + pay[half:])

@@ -12,6 +12,12 @@ from .errors import BracketingError
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def is_number(value) -> bool:
+    """True for an int or a float; bools, text and every other value
+    are not numbers. The one rule for reading real values from configs."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def sign_change_brackets(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
     """Bracketing intervals for roots of a sampled continuous function.
 

@@ -1,0 +1,145 @@
+"""Market and type-law values are finite numbers.
+
+An infinite buyer throughput or type bound used to pass construction:
+``"r_lte": Infinity`` made ``optimize`` report a null payoff with exit
+0, and an infinite ``r_max`` failed deep in the threshold solve with
+exit 3. Both now fail when the object is built (CLI exit 2).
+``TypeDistribution.from_config`` reads its values by the CLI's number
+rule: ints and floats only, so ``True`` or ``"0"`` no longer become
+``1.0`` or ``0.0``."""
+import json
+import math
+
+import pytest
+
+from spectrum_auction import MarketConfig, TypeDistribution
+from spectrum_auction.cli import _number, main
+from spectrum_auction.errors import InvalidConfig, InvalidDistribution
+from spectrum_auction.multi_lte import MultiMarketConfig
+from spectrum_auction.presets import preset
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+TN = {"kind": "truncated_normal", "r_min": 50, "r_max": 200, "mu": 125, "sigma": 50}
+UNIFORM = {"kind": "uniform", "r_min": 50, "r_max": 200}
+
+
+def run_cli(capsys, *args):
+    code = main(list(args))
+    return code, capsys.readouterr().err
+
+
+def assert_config_error(code, err):
+    assert code == 2
+    assert json.loads(err)["error"] == "config"
+
+
+def write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+# ---------------------------------------------------------------------------
+# Library objects
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r_lte", NON_FINITE)
+def test_market_rejects_non_finite_r_lte(uniform_dist, r_lte):
+    with pytest.raises(ValueError, match="r_lte"):
+        MarketConfig(k=4, dist=uniform_dist, eta_apo=0.3, delta_lte=0.4, r_lte=r_lte)
+
+
+@pytest.mark.parametrize("r_lte", NON_FINITE)
+def test_multi_market_rejects_non_finite_r_lte(uniform_dist, r_lte):
+    with pytest.raises(ValueError, match="r_lte"):
+        MultiMarketConfig(
+            k_s=2, k_a=2, dist=uniform_dist, eta_apo=0.3, delta_lte=0.4,
+            theta_lte=0.5, r_lte=r_lte,
+        )
+
+
+@pytest.mark.parametrize("r_min, r_max", [(50.0, math.inf), (-math.inf, 200.0), (50.0, math.nan)])
+def test_uniform_rejects_non_finite_bounds(r_min, r_max):
+    with pytest.raises(InvalidDistribution, match="finite"):
+        TypeDistribution.uniform(r_min, r_max)
+
+
+@pytest.mark.parametrize("key", ["r_min", "r_max", "mu", "sigma"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_truncated_normal_rejects_non_finite_values(key, value):
+    params = {"mu": 125.0, "sigma": 50.0, "r_min": 50.0, "r_max": 200.0, key: value}
+    with pytest.raises(InvalidDistribution, match="finite"):
+        TypeDistribution.truncated_normal(**params)
+
+
+def test_finite_values_still_build():
+    assert TypeDistribution.uniform(0, 1e300).r_max == 1e300
+    assert TypeDistribution.truncated_normal(-1e3, 1e3, 0, 200).mu == -1e3
+
+
+# ---------------------------------------------------------------------------
+# TypeDistribution.from_config reads numbers strictly
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dist", [
+    dict(UNIFORM, r_min="0", r_max=True),
+    dict(UNIFORM, r_min="50"),
+    dict(UNIFORM, r_max=True),
+    dict(UNIFORM, r_max=None),
+    dict(UNIFORM, r_min=[50]),
+    dict(TN, mu="125"),
+    dict(TN, sigma=False),
+    dict(TN, sigma={"v": 50}),
+])
+def test_from_config_rejects_non_numbers(dist):
+    with pytest.raises(InvalidDistribution, match="must be a number"):
+        TypeDistribution.from_config(dist)
+
+
+def test_from_config_keeps_ints_floats_and_null_moments():
+    assert TypeDistribution.from_config(UNIFORM) == TypeDistribution.uniform(50.0, 200.0)
+    assert TypeDistribution.from_config(dict(UNIFORM, mu=None, sigma=None)).kind == "uniform"
+    tn = TypeDistribution.from_config(dict(TN, mu=125.5))
+    assert tn == TypeDistribution.truncated_normal(125.5, 50.0, 50.0, 200.0)
+    assert isinstance(tn.r_min, float) and isinstance(tn.sigma, float)
+
+
+@pytest.mark.parametrize("value", [True, False, "55", None, [1.0], {"v": 1.0}])
+def test_cli_and_library_share_the_number_rule(value):
+    with pytest.raises(InvalidConfig):
+        _number(value, "x")
+    with pytest.raises(InvalidDistribution):
+        TypeDistribution.from_config(dict(UNIFORM, r_max=value))
+
+
+# ---------------------------------------------------------------------------
+# CLI: each non-finite value is a config error
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_cli_infinite_r_lte_exits_2(capsys, tmp_path, command):
+    market = dict(preset("appendixK")["market"], r_lte=math.inf)
+    path = write_config(tmp_path, {"market": market, "replications": 2})
+    assert_config_error(*run_cli(capsys, command, "--config", path))
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_cli_infinite_multi_r_lte_exits_2(capsys, tmp_path, command):
+    market = dict(preset("fig12")["multi_market"], r_lte=math.inf)
+    path = write_config(tmp_path, {"multi_market": market, "replications": 2})
+    assert_config_error(*run_cli(capsys, "multi-lte", command, "--config", path,
+                                 "--samples", "4", "--reserve", "140"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r_max", math.inf), ("r_min", -math.inf), ("r_max", math.nan),
+    ("mu", math.inf), ("sigma", math.inf), ("mu", math.nan),
+])
+def test_cli_non_finite_type_law_exits_2(capsys, tmp_path, key, value):
+    market = dict(preset("appendixK")["market"])
+    market["dist"] = dict(TN, **{key: value})
+    path = write_config(tmp_path, {"market": market, "c": 55.0})
+    assert_config_error(*run_cli(capsys, "equilibrium", "--config", path))

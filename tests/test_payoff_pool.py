@@ -1,0 +1,208 @@
+"""The multi-provider payoff estimator works on a sorted four-column pool
+and the row rule finds the two lowest bids in one sweep; both must give
+exactly what the full computation gives.
+
+The references here are coded independently: the row rule against
+``np.partition``, and the estimator against the unsorted
+``(n, k_s + k_a)`` type matrix mapped through ``bid_values_virtual``
+and then the partition rule."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from spectrum_auction import MultiMarketConfig, RngStream, TypeDistribution
+from spectrum_auction import multi_lte
+from spectrum_auction.auction import second_price_rows
+from spectrum_auction.errors import SpectrumAuctionError
+from spectrum_auction.multi_lte import (
+    _type_pool,
+    bid_values_virtual,
+    expected_payoff_multi,
+    shared_participation_cutoff,
+)
+
+UNIFORM = TypeDistribution.uniform(50, 200)
+TRUNC_NORMAL = TypeDistribution.truncated_normal(125, 50, 50, 200)
+
+
+def partition_rows(bids, c):
+    """Reference row rule: sort-based second-lowest bid."""
+    coop = np.isfinite(bids.min(axis=1))
+    second = np.partition(bids, 1, axis=1)[:, 1]
+    return coop, np.where(coop, np.minimum(c, second), 0.0)
+
+
+def full_pool_payoff(cfg, c, n, seed):
+    """Reference estimator over every type of every row."""
+    rng = RngStream(seed, 0)
+    u = rng.uniforms(n // 2, cfg.k_s + cfg.k_a)
+    types = np.asarray(cfg.dist.inverse_cdf(np.concatenate([u, 1.0 - u])), dtype=float)
+    coop, price = partition_rows(bid_values_virtual(cfg, c, types), c)
+    pay = np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
+    half = n // 2
+    pairs = 0.5 * (pay[:half] + pay[half:])
+    return float(pay.mean()), float(pairs.std(ddof=1) / math.sqrt(half))
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+# ---------------------------------------------------------------------------
+# (a) The sweep row rule equals the partition rule
+# ---------------------------------------------------------------------------
+
+C = 150.0
+# Few levels, the reserve and abstention among them, so that ties at the
+# minimum, ties at c and all-abstain rows are common.
+bid_value = st.one_of(
+    st.sampled_from([60.0, 90.0, C, math.inf]),
+    st.floats(0.0, C, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(2, 7),
+    n=st.integers(1, 12),
+    layout=st.sampled_from(["C", "F", "T"]),
+    abstain_row=st.booleans(),
+)
+def test_row_rule_equals_partition_rule(data, k, n, layout, abstain_row):
+    bids = data.draw(hnp.arrays(float, (n, k), elements=bid_value))
+    if abstain_row:
+        bids[0] = math.inf
+    if layout == "F":
+        bids = np.asfortranarray(bids)
+    elif layout == "T":
+        bids = np.ascontiguousarray(bids.T).T
+    coop, price = second_price_rows(bids, C)
+    ref_coop, ref_price = partition_rows(bids, C)
+    assert coop.dtype == bool and price.dtype == float
+    assert np.array_equal(coop, ref_coop)
+    assert price.tobytes() == ref_price.tobytes()
+
+
+def test_row_rule_does_not_modify_its_input():
+    bids = np.array([[90.0, 60.0, 70.0], [math.inf, 80.0, 50.0]])
+    before = bids.copy()
+    second_price_rows(bids, C)
+    assert np.array_equal(bids, before)
+
+
+# ---------------------------------------------------------------------------
+# (b) The sorted-pool estimator equals the full-pool estimator bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reserve_in(cfg, where, frac):
+    """A reserve at relative position ``frac`` of one of five ranges:
+    the alone market's four regimes, and the band in which shared
+    sellers bid (their offset up to their highest bid)."""
+    alone = cfg.alone_market()
+    low_cap, r_min, r_max = alone.low_regime_cap, cfg.dist.r_min, cfg.dist.r_max
+    shared_lo = cfg.shared_offset + cfg.eta_apo * r_min
+    shared_hi = cfg.shared_offset + cfg.eta_apo * r_max
+    lo, hi = {
+        "low": (0.0, low_cap),
+        "mid": (low_cap, r_min),
+        "standard": (r_min, r_max),
+        "high": (r_max, 1.5 * r_max),
+        "shared": (shared_lo, shared_hi),
+    }[where]
+    return lo + frac * (hi - lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k_s=st.integers(2, 5),
+    k_a=st.integers(2, 5),
+    dist=st.sampled_from([UNIFORM, TRUNC_NORMAL]),
+    eta=st.floats(0.05, 0.95),
+    theta=st.floats(0.05, 0.95),
+    r_lte=st.floats(60.0, 400.0),
+    where=st.sampled_from(["low", "mid", "standard", "high", "shared"]),
+    frac=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    n=st.sampled_from([4, 200, 2000]),
+    seed=st.integers(0, 2),
+)
+def test_estimator_equals_full_pool_reference(k_s, k_a, dist, eta, theta, r_lte, where, frac, n, seed):
+    cfg = MultiMarketConfig(k_s, k_a, dist, eta, 0.4, theta, r_lte)
+    c = reserve_in(cfg, where, frac)
+    try:
+        expected = full_pool_payoff(cfg, c, n, seed)
+    except SpectrumAuctionError as exc:
+        with pytest.raises(type(exc)):
+            expected_payoff_multi(cfg, c, n=n, seed=seed)
+        return
+    mean, se = expected_payoff_multi(cfg, c, n=n, seed=seed)
+    assert (bits(mean), bits(se)) == tuple(map(bits, expected))
+
+
+@pytest.mark.parametrize("k_s, k_a", [(2, 2), (4, 2), (2, 5), (5, 3)])
+@pytest.mark.parametrize("dist", [UNIFORM, TRUNC_NORMAL], ids=["uniform", "trunc_normal"])
+def test_estimator_on_a_reserve_grid(k_s, k_a, dist):
+    """Every reserve of a grid across all regimes, as the optimizer's
+    guard scan would visit them."""
+    cfg = MultiMarketConfig(k_s, k_a, dist, 0.3, 0.4, 0.5, 200.0)
+    for c in np.linspace(0.0, 1.2 * dist.r_max, 61):
+        got = expected_payoff_multi(cfg, float(c), n=2000, seed=1)
+        assert tuple(map(bits, got)) == tuple(map(bits, full_pool_payoff(cfg, float(c), 2000, 1)))
+
+
+def test_reference_covers_shared_winners_and_full_abstention():
+    """The cases the estimator must get right are reachable: at c = 140
+    some rows are won by a shared seller, and below every floor every
+    seller abstains so the payoff is the competition payoff exactly."""
+    cfg = MultiMarketConfig(4, 2, UNIFORM, 0.3, 0.4, 0.5, 200.0)
+    c = 140.0
+    assert shared_participation_cutoff(cfg, c) > UNIFORM.r_min
+    u = RngStream(0, 0).uniforms(1000, 6)
+    bids = bid_values_virtual(cfg, c, UNIFORM.inverse_cdf(u))
+    assert np.any(np.argmin(bids, axis=1) < cfg.k_s)
+    assert np.any(np.argmin(bids, axis=1) >= cfg.k_s)
+    mean, se = expected_payoff_multi(cfg, 10.0, n=2000)
+    assert (mean, se) == (cfg.delta_lte * cfg.r_lte, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# (c) The cached pool
+# ---------------------------------------------------------------------------
+
+
+def test_pool_is_four_sorted_read_only_rows():
+    dist = TypeDistribution.uniform(40, 210)
+    pool = _type_pool(dist, 3, 4, 1000, 5)
+    assert pool.shape == (4, 1000)
+    assert pool.flags.c_contiguous and not pool.flags.writeable
+    with pytest.raises(ValueError):
+        pool[0, 0] = 0.0
+    u = RngStream(5, 0).uniforms(500, 7)
+    types = dist.inverse_cdf(np.concatenate([u, 1.0 - u]))
+    shared, alone = np.sort(types[:, :3], axis=1), np.sort(types[:, 3:], axis=1)
+    assert np.array_equal(pool, np.stack([shared[:, 0], shared[:, 1], alone[:, 0], alone[:, 1]]))
+
+
+def test_pool_draws_once_per_cache_key(monkeypatch):
+    calls = []
+    original = TypeDistribution.inverse_cdf
+
+    def counting(self, p):
+        calls.append(np.shape(p))
+        return original(self, p)
+
+    monkeypatch.setattr(TypeDistribution, "inverse_cdf", counting)
+    # A type law no other test uses, so the cache starts cold for it.
+    cfg = MultiMarketConfig(3, 2, TypeDistribution.uniform(47, 203), 0.3, 0.4, 0.5, 200.0)
+    for c in (60.0, 120.0, 180.0):
+        expected_payoff_multi(cfg, c, n=400, seed=9)
+    assert calls == [(400, 5)]
+    expected_payoff_multi(cfg, 120.0, n=400, seed=10)
+    expected_payoff_multi(cfg, 120.0, n=402, seed=9)
+    assert calls == [(400, 5), (400, 5), (402, 5)]
+    assert multi_lte._type_pool(cfg.dist, 3, 2, 400, 9).shape == (4, 400)
