@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import TypeDistribution
 from .errors import BracketingError, NonUniqueThreshold
-from .numerics import bisect_root, sign_change_brackets
+from .numerics import bisect_root, is_number, sign_change_brackets
 
 # Grid density of the root-existence scan used both for bracketing and
 # for the uniqueness check.
@@ -48,6 +48,15 @@ def require_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def require_numbers(obj, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` is a
+    number by :func:`numerics.is_number` (bools and text are not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Market primitives: seller count, type law, interference discounts
@@ -61,6 +70,7 @@ class MarketConfig:
 
     def __post_init__(self):
         require_count("k", self.k, 2)
+        require_numbers(self, "eta_apo", "delta_lte", "r_lte")
         if not 0.0 < self.eta_apo < 1.0:
             raise ValueError("eta_apo must lie in (0, 1)")
         if not 0.0 < self.delta_lte < 1.0:

@@ -30,6 +30,7 @@ from .equilibrium import (
     bid_values,
     bid as single_bid,
     require_count,
+    require_numbers,
 )
 from .errors import InfeasibleBid, InvalidProfile
 from .provider import OptimalReserve, _search_reserve
@@ -63,6 +64,7 @@ class MultiMarketConfig:
     def __post_init__(self):
         require_count("k_s", self.k_s, 2)
         require_count("k_a", self.k_a, 2)
+        require_numbers(self, "eta_apo", "delta_lte", "theta_lte", "r_lte")
         for name in ("eta_apo", "delta_lte", "theta_lte"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

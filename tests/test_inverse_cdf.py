@@ -1,0 +1,125 @@
+"""The truncated-normal inverse CDF equals plain bisection on ``cdf`` to
+the bit.
+
+The fast path jumps close to the answer with ``ndtri``, replays most
+bisection steps without evaluating the cdf, checks the bracket it
+reached against the cdf, and sends every element that fails the check
+through the plain bisection. ``plain_bisection`` below is the loop the
+engine ran before, kept as the reference."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from spectrum_auction import InvalidDistribution, RngStream, TypeDistribution
+from spectrum_auction.cli import parse_market
+from spectrum_auction.oracle import sample_type_matrix
+from spectrum_auction.presets import preset
+
+EDGE_PROBABILITIES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+FAR_TAIL_LAWS = [(300.0, 20.0, 50.0, 200.0), (-100.0, 15.0, 0.0, 60.0)]
+
+
+def plain_bisection(dist, p):
+    p = np.asarray(p, dtype=float)
+    lo = np.full_like(p, dist.r_min, dtype=float)
+    hi = np.full_like(p, dist.r_max, dtype=float)
+    steps = int(math.ceil(math.log2((dist.r_max - dist.r_min) / 1e-12)))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = dist.cdf(mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert mismatched.size == 0, (
+        f"{mismatched.size} of {want.size} differ, first at {mismatched[:5]}: "
+        f"{got.ravel()[mismatched[:5]]} vs {want.ravel()[mismatched[:5]]}"
+    )
+
+
+@st.composite
+def truncated_normals(draw):
+    r_min = draw(st.floats(0.0, 500.0))
+    span = draw(st.floats(1e-3, 500.0))
+    r_max = r_min + span
+    sigma = draw(st.floats(0.05, 300.0))
+    # Up to 8 sigma outside the support: far tails where the float cdf
+    # is a staircase and most elements take the fallback. Further out
+    # the float mass is zero and the law is refused.
+    mu = draw(st.floats(r_min - 8.0 * sigma, r_max + 8.0 * sigma))
+    try:
+        return TypeDistribution.truncated_normal(mu, sigma, r_min, r_max)
+    except InvalidDistribution:
+        assume(False)
+
+
+probabilities = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(EDGE_PROBABILITIES),
+    st.floats(0.0, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0),
+)
+
+
+@given(dist=truncated_normals(), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(64,), (16, 3), (1,), (0,)]), extra=st.lists(probabilities, max_size=6))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_arrays_match_plain_bisection(dist, seed, shape, extra):
+    p = np.random.default_rng(seed).random(shape)
+    if extra and p.size:
+        flat = p.reshape(-1)
+        flat[: len(extra)] = extra[: flat.size]
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+@given(dist=truncated_normals(), p=probabilities)
+@settings(max_examples=100, deadline=None)
+def test_scalars_match_plain_bisection(dist, p):
+    want = float(plain_bisection(dist, p))
+    got = dist.inverse_cdf(p)
+    assert isinstance(got, float)
+    assert_same_bits(got, want)
+    assert_same_bits(dist.inverse_cdf(np.asarray(p)), want)
+
+
+@pytest.mark.parametrize("law", [(125.0, 50.0, 50.0, 200.0), *FAR_TAIL_LAWS])
+def test_edge_probabilities(law):
+    dist = TypeDistribution.truncated_normal(*law)
+    p = np.array(EDGE_PROBABILITIES)
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+    for q in EDGE_PROBABILITIES:
+        assert_same_bits(dist.inverse_cdf(q), plain_bisection(dist, q))
+
+
+@pytest.mark.parametrize("law", FAR_TAIL_LAWS)
+def test_far_tail_takes_the_fallback_and_matches(law, monkeypatch):
+    dist = TypeDistribution.truncated_normal(*law)
+    restarted = []
+    bisect = TypeDistribution._bisect
+
+    def spy(self, lo, hi, p, steps, x=None):
+        if steps == self._bisection_steps:
+            restarted.append(p.size)
+        return bisect(self, lo, hi, p, steps, x)
+
+    monkeypatch.setattr(TypeDistribution, "_bisect", spy)
+    p = RngStream(5, 0).uniforms(20_000)
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+    assert sum(restarted) > 10_000
+
+
+def test_criterion_3_pool_matches_plain_bisection():
+    """All 4M draws of the acceptance criterion-3 pool."""
+    cfg = parse_market(preset("appendixK"))
+    pool = sample_type_matrix(cfg, 1_000_000, RngStream(314, 0))
+    p = RngStream(314, 0).uniforms(1_000_000, cfg.k)
+    assert pool.shape == (1_000_000, 4)
+    assert_same_bits(pool, plain_bisection(cfg.dist, p))

@@ -1,0 +1,83 @@
+"""The direct library constructors read real values by the one number
+rule, ``numerics.is_number``: ints and floats, not bools or text.
+``TypeDistribution.uniform("50", "200")`` used to build uniform
+[50, 200] through ``float()``, ``TypeDistribution("uniform", False,
+True)`` a law with bool bounds, and ``MarketConfig(..., r_lte=True)`` a
+market with R = True. Each now fails at construction."""
+import pytest
+
+from spectrum_auction import MarketConfig, TypeDistribution
+from spectrum_auction.errors import InvalidDistribution
+from spectrum_auction.multi_lte import MultiMarketConfig
+
+NOT_NUMBERS = [True, False, "50", "0.3", None, [1.0]]
+TN = {"mu": 125.0, "sigma": 50.0, "r_min": 50.0, "r_max": 200.0}
+MARKET = {"k": 4, "eta_apo": 0.3, "delta_lte": 0.4, "r_lte": 95.0}
+MULTI = {"k_s": 2, "k_a": 2, "eta_apo": 0.3, "delta_lte": 0.4, "theta_lte": 0.5, "r_lte": 200.0}
+
+
+def test_uniform_rejects_text_bounds():
+    with pytest.raises(InvalidDistribution, match="number"):
+        TypeDistribution.uniform("50", "200")
+
+
+@pytest.mark.parametrize("key", ["r_min", "r_max"])
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_uniform_rejects_non_numbers(key, value):
+    bounds = {"r_min": 50.0, "r_max": 200.0, key: value}
+    with pytest.raises(InvalidDistribution, match="number"):
+        TypeDistribution.uniform(**bounds)
+
+
+@pytest.mark.parametrize("key", list(TN))
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_truncated_normal_rejects_non_numbers(key, value):
+    with pytest.raises(InvalidDistribution, match="number"):
+        TypeDistribution.truncated_normal(**{**TN, key: value})
+
+
+def test_direct_construction_rejects_bool_bounds():
+    with pytest.raises(InvalidDistribution, match="number"):
+        TypeDistribution("uniform", False, True)
+
+
+@pytest.mark.parametrize("key", ["r_min", "r_max", "mu", "sigma"])
+@pytest.mark.parametrize("value", [True, "60"])
+def test_direct_construction_rejects_non_numbers(key, value):
+    fields = {"kind": "truncated_normal", **TN, key: value}
+    with pytest.raises(InvalidDistribution, match="number"):
+        TypeDistribution(**fields)
+
+
+def test_numbers_still_build():
+    assert TypeDistribution.uniform(50, 200) == TypeDistribution("uniform", 50.0, 200.0)
+    assert TypeDistribution.uniform(50, 200).r_min == 50.0
+    assert TypeDistribution("uniform", 50, 200).r_max == 200
+    assert TypeDistribution.truncated_normal(125, 50, 50, 200).to_config() == {
+        "kind": "truncated_normal", "r_min": 50.0, "r_max": 200.0, "mu": 125.0, "sigma": 50.0,
+    }
+    assert TypeDistribution("uniform", 50.0, 200.0, None, None).mu is None
+
+
+@pytest.mark.parametrize("key", ["eta_apo", "delta_lte", "r_lte"])
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_market_rejects_non_numbers(uniform_dist, key, value):
+    with pytest.raises(ValueError, match=key):
+        MarketConfig(dist=uniform_dist, **{**MARKET, key: value})
+
+
+@pytest.mark.parametrize("key", ["eta_apo", "delta_lte", "theta_lte", "r_lte"])
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_multi_market_rejects_non_numbers(uniform_dist, key, value):
+    with pytest.raises(ValueError, match=key):
+        MultiMarketConfig(dist=uniform_dist, **{**MULTI, key: value})
+
+
+def test_market_with_bool_rate_is_refused(uniform_dist):
+    with pytest.raises(ValueError, match="r_lte must be a number"):
+        MarketConfig(4, uniform_dist, 0.3, 0.4, r_lte=True)
+
+
+def test_markets_accept_ints(uniform_dist):
+    assert MarketConfig(dist=uniform_dist, **{**MARKET, "r_lte": 95}).r_lte == 95
+    assert MultiMarketConfig(dist=uniform_dist, **{**MULTI, "r_lte": 200}).r_lte == 200
