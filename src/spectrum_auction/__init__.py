@@ -20,6 +20,7 @@ from .equilibrium import (
     MarketConfig,
     RegimeKind,
     ReserveRegime,
+    SellerMarket,
     bid,
     bid_values,
     classify_regime,

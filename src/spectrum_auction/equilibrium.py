@@ -16,6 +16,14 @@ The mid/standard thresholds are the unique roots of continuous
 residual functions, located by a sign scan plus bisection. If the scan
 finds more than one root the engine refuses rather than selecting an
 equilibrium arbitrarily.
+
+The equilibrium is seller-side: it depends on ``k``, the type law and
+``eta`` (a :class:`SellerMarket`), not on the buyer's throughput or its
+discount. The threshold and strategy caches are keyed on
+``(SellerMarket, c)``, and the engine passes ``cfg.sellers`` to them, so
+markets that differ only in ``r_lte`` or ``delta_lte`` share their
+solves. The solvers also accept a :class:`MarketConfig`, which is then
+its own cache key.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,9 +43,10 @@ from .numerics import bisect_root, is_number, sign_change_brackets
 # for the uniqueness check.
 SCAN_POINTS = 10_000
 
-# Entries kept by each equilibrium cache. They are keyed on a float
-# reserve, so an unbounded cache grows with every distinct reserve a
-# session visits; one reserve optimization touches under a thousand.
+# Entries kept by each equilibrium cache. They are keyed on the seller
+# side and a float reserve, so an unbounded cache grows with every
+# distinct reserve a session visits; one reserve optimization touches
+# under a thousand.
 CACHE_SIZE = 4096
 
 
@@ -58,6 +67,40 @@ def require_numbers(obj, *names: str) -> None:
 
 
 @dataclass(frozen=True)
+class SellerMarket:
+    """The seller side of a market: seller count, type law and the
+    sellers' interference discount. The equilibrium bids depend on
+    these alone, so the equilibrium caches are keyed on them."""
+
+    k: int
+    dist: TypeDistribution
+    eta_apo: float
+
+    def __post_init__(self):
+        require_count("k", self.k, 2)
+        if not isinstance(self.dist, TypeDistribution):
+            raise ValueError(f"dist must be a TypeDistribution, got {self.dist!r}")
+        require_numbers(self, "eta_apo")
+        if not 0.0 < self.eta_apo < 1.0:
+            raise ValueError("eta_apo must lie in (0, 1)")
+
+    @property
+    def sellers(self) -> "SellerMarket":
+        return self
+
+    @cached_property
+    def externality_share(self) -> float:
+        """(k-1+eta)/k: expected keep-fraction of a seller's rate when
+        every seller abstains and the buyer picks a channel at random."""
+        return (self.k - 1 + self.eta_apo) / self.k
+
+    @cached_property
+    def low_regime_cap(self) -> float:
+        """Upper end L of the reserve range in which no seller sells."""
+        return self.externality_share * self.dist.r_min
+
+
+@dataclass(frozen=True)
 class MarketConfig:
     """Market primitives: seller count, type law, interference discounts
     and the buyer's standalone throughput (Mbps)."""
@@ -69,25 +112,29 @@ class MarketConfig:
     r_lte: float
 
     def __post_init__(self):
-        require_count("k", self.k, 2)
-        require_numbers(self, "eta_apo", "delta_lte", "r_lte")
-        if not 0.0 < self.eta_apo < 1.0:
-            raise ValueError("eta_apo must lie in (0, 1)")
+        self.sellers  # builds the seller side, which checks k, dist and eta_apo
+        require_numbers(self, "delta_lte", "r_lte")
         if not 0.0 < self.delta_lte < 1.0:
             raise ValueError("delta_lte must lie in (0, 1)")
         if not 0.0 < self.r_lte < math.inf:
             raise ValueError("r_lte must be positive and finite")
 
+    @cached_property
+    def sellers(self) -> SellerMarket:
+        """The seller side, on which the equilibrium depends."""
+        return SellerMarket(self.k, self.dist, self.eta_apo)
+
     @property
     def externality_share(self) -> float:
-        """(k-1+eta)/k: expected keep-fraction of a seller's rate when
-        every seller abstains and the buyer picks a channel at random."""
-        return (self.k - 1 + self.eta_apo) / self.k
+        return self.sellers.externality_share
 
     @property
     def low_regime_cap(self) -> float:
-        """Upper end L of the reserve range in which no seller sells."""
-        return self.externality_share * self.dist.r_min
+        return self.sellers.low_regime_cap
+
+
+# What the equilibrium functions accept: a market or its seller side.
+AnyMarket = MarketConfig | SellerMarket
 
 
 @dataclass(frozen=True)
@@ -181,7 +228,7 @@ class RootScan:
     brackets: tuple[tuple[float, float], ...]
 
 
-def classify_regime(cfg: MarketConfig, c: float) -> ReserveRegime:
+def classify_regime(cfg: AnyMarket, c: float) -> ReserveRegime:
     """Regime containing reserve rate ``c``.
 
     Boundaries follow the interval conventions of the strategy map:
@@ -200,15 +247,20 @@ def classify_regime(cfg: MarketConfig, c: float) -> ReserveRegime:
     return ReserveRegime(RegimeKind.HIGH, r_max, math.inf)
 
 
-def _threshold_residual(cfg: MarketConfig, c: float, r, f_floor: float):
+def _threshold_residual(cfg: AnyMarket, c: float, r, f_floor: float):
     """Shared residual core.
 
     ``f_floor`` is the CDF value subtracted inside the binomial term:
-    F(c) for the standard regime, 0 for the mid regime.
+    F(c) for the standard regime, 0 for the mid regime. A ``float``
+    ``r`` (the bisection's) stays a Python float throughout: the
+    operations are those of the array path in the same order, and
+    ``**`` on Python floats is the libm ``pow`` either way.
     """
     k = cfg.k
     fr = cfg.dist.cdf(r)
-    r = np.asarray(r, dtype=float)
+    scalar = isinstance(r, float)
+    if not scalar:
+        r = np.asarray(r, dtype=float)
     surv = 1.0 - fr
     total = surv ** (k - 1) * (c - cfg.externality_share * r)
     mass = fr - f_floor
@@ -220,10 +272,10 @@ def _threshold_residual(cfg: MarketConfig, c: float, r, f_floor: float):
             * (c - r)
             / (n + 1)
         )
-    return float(total) if np.ndim(total) == 0 else total
+    return float(total) if scalar or np.ndim(total) == 0 else total
 
 
-def threshold_residual_standard(cfg: MarketConfig, c: float, r):
+def threshold_residual_standard(cfg: AnyMarket, c: float, r):
     """Standard-regime threshold residual.
 
     Positive at ``r = c``, negative at ``r = r_max``; its unique root in
@@ -233,12 +285,12 @@ def threshold_residual_standard(cfg: MarketConfig, c: float, r):
     return _threshold_residual(cfg, c, r, float(cfg.dist.cdf(c)))
 
 
-def threshold_residual_mid(cfg: MarketConfig, c: float, r):
+def threshold_residual_mid(cfg: AnyMarket, c: float, r):
     """Mid-regime threshold residual; root lies in (r_min, r_max)."""
     return _threshold_residual(cfg, c, r, 0.0)
 
 
-def _scan(cfg: MarketConfig, c: float, lo: float, hi: float, residual, points: int) -> RootScan:
+def _scan(cfg: AnyMarket, c: float, lo: float, hi: float, residual, points: int) -> RootScan:
     xs = np.linspace(lo, hi, points)
     ys = residual(cfg, c, xs)
     brackets = sign_change_brackets(xs, ys)
@@ -259,7 +311,7 @@ def uniqueness_scan(cfg: MarketConfig, c: float, points: int = SCAN_POINTS) -> R
     raise ValueError("threshold equations only apply to the mid and standard regimes")
 
 
-def _solve_threshold(cfg: MarketConfig, c: float, lo: float, hi: float, residual) -> float:
+def _solve_threshold(cfg: AnyMarket, c: float, lo: float, hi: float, residual) -> float:
     r_max = cfg.dist.r_max
     y_lo = residual(cfg, c, lo)
     y_hi = residual(cfg, c, hi)
@@ -286,7 +338,7 @@ def _solve_threshold(cfg: MarketConfig, c: float, lo: float, hi: float, residual
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def solve_threshold_standard(cfg: MarketConfig, c: float) -> float:
+def solve_threshold_standard(cfg: AnyMarket, c: float) -> float:
     """Abstention threshold for a standard-regime reserve rate.
 
     The root lies in ``(c, r_max)``; raises NonUniqueThreshold when the
@@ -300,7 +352,7 @@ def solve_threshold_standard(cfg: MarketConfig, c: float) -> float:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def solve_threshold_mid(cfg: MarketConfig, c: float) -> float:
+def solve_threshold_mid(cfg: AnyMarket, c: float) -> float:
     """Abstention threshold for a mid-regime reserve rate; root in
     ``(r_min, r_max)``."""
     regime = classify_regime(cfg, c)
@@ -312,17 +364,18 @@ def solve_threshold_mid(cfg: MarketConfig, c: float) -> float:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def solve_strategy(cfg: MarketConfig, c: float) -> EquilibriumStrategy:
+def solve_strategy(cfg: AnyMarket, c: float) -> EquilibriumStrategy:
     """Equilibrium strategy at reserve ``c``, thresholds included.
 
     Memoized on ``(cfg, c)``: the reserve-rate optimizer evaluates the
-    same points repeatedly.
+    same points repeatedly. The thresholds are looked up on
+    ``cfg.sellers``.
     """
     regime = classify_regime(cfg, c)
     if regime.kind is RegimeKind.STANDARD:
-        return EquilibriumStrategy(regime, c, r_t=solve_threshold_standard(cfg, c))
+        return EquilibriumStrategy(regime, c, r_t=solve_threshold_standard(cfg.sellers, c))
     if regime.kind is RegimeKind.MID:
-        return EquilibriumStrategy(regime, c, r_x=solve_threshold_mid(cfg, c))
+        return EquilibriumStrategy(regime, c, r_x=solve_threshold_mid(cfg.sellers, c))
     return EquilibriumStrategy(regime, c)
 
 
@@ -335,9 +388,9 @@ def bid(cfg: MarketConfig, c: float, r: float) -> Bid:
     """
     if not cfg.dist.r_min <= r <= cfg.dist.r_max:
         raise ValueError(f"type {r} outside support")
-    return solve_strategy(cfg, c).bid(r)
+    return solve_strategy(cfg.sellers, c).bid(r)
 
 
 def bid_values(cfg: MarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Vectorized equilibrium bids (abstention as +inf)."""
-    return solve_strategy(cfg, c).bid_values(types)
+    return solve_strategy(cfg.sellers, c).bid_values(types)

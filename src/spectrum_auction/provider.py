@@ -101,7 +101,7 @@ def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
     if regime.kind is RegimeKind.LOW:
         payoff, payment = cfg.delta_lte * r, 0.0
     elif regime.kind is RegimeKind.MID:
-        r_x = solve_threshold_mid(cfg, c)
+        r_x = solve_threshold_mid(cfg.sellers, c)
         none_sells = (1.0 - dist.cdf(r_x)) ** cfg.k
         payment = c * (1.0 - none_sells)
         payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * (r - c)
@@ -109,7 +109,7 @@ def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
         payment = _second_lowest_integral(cfg, dist.r_max)
         payoff = r - payment
     else:
-        r_t = solve_threshold_standard(cfg, c)
+        r_t = solve_threshold_standard(cfg.sellers, c)
         f_c = dist.cdf(c)
         none_sells = (1.0 - dist.cdf(r_t)) ** cfg.k
         payment = (
