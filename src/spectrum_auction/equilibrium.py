@@ -31,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -66,6 +66,12 @@ def require_numbers(obj, *names: str) -> None:
             raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def require_law(dist) -> None:
+    """Raise ``ValueError`` unless ``dist`` is a :class:`TypeDistribution`."""
+    if not isinstance(dist, TypeDistribution):
+        raise ValueError(f"dist must be a TypeDistribution, got {dist!r}")
+
+
 @dataclass(frozen=True)
 class SellerMarket:
     """The seller side of a market: seller count, type law and the
@@ -78,8 +84,7 @@ class SellerMarket:
 
     def __post_init__(self):
         require_count("k", self.k, 2)
-        if not isinstance(self.dist, TypeDistribution):
-            raise ValueError(f"dist must be a TypeDistribution, got {self.dist!r}")
+        require_law(self.dist)
         require_numbers(self, "eta_apo")
         if not 0.0 < self.eta_apo < 1.0:
             raise ValueError("eta_apo must lie in (0, 1)")
@@ -290,10 +295,9 @@ def threshold_residual_mid(cfg: AnyMarket, c: float, r):
     return _threshold_residual(cfg, c, r, 0.0)
 
 
-def _scan(cfg: AnyMarket, c: float, lo: float, hi: float, residual, points: int) -> RootScan:
+def _scan(residual, lo: float, hi: float, points: int) -> RootScan:
     xs = np.linspace(lo, hi, points)
-    ys = residual(cfg, c, xs)
-    brackets = sign_change_brackets(xs, ys)
+    brackets = sign_change_brackets(xs, residual(xs))
     return RootScan(count=len(brackets), brackets=tuple(brackets))
 
 
@@ -305,22 +309,29 @@ def uniqueness_scan(cfg: MarketConfig, c: float, points: int = SCAN_POINTS) -> R
     """
     regime = classify_regime(cfg, c)
     if regime.kind is RegimeKind.STANDARD:
-        return _scan(cfg, c, c, cfg.dist.r_max, threshold_residual_standard, points)
+        return _scan(partial(threshold_residual_standard, cfg, c), c, cfg.dist.r_max, points)
     if regime.kind is RegimeKind.MID:
-        return _scan(cfg, c, cfg.dist.r_min, cfg.dist.r_max, threshold_residual_mid, points)
+        return _scan(partial(threshold_residual_mid, cfg, c), cfg.dist.r_min, cfg.dist.r_max, points)
     raise ValueError("threshold equations only apply to the mid and standard regimes")
 
 
-def _solve_threshold(cfg: AnyMarket, c: float, lo: float, hi: float, residual) -> float:
+def _solve_threshold(cfg: AnyMarket, c: float, lo: float, f_floor: float) -> float:
+    """Root of the threshold residual with floor ``f_floor`` on
+    ``[lo, r_max]``: sign check, uniqueness scan, then bisection. The
+    caller computes the floor once per solve."""
     r_max = cfg.dist.r_max
-    y_lo = residual(cfg, c, lo)
-    y_hi = residual(cfg, c, hi)
+
+    def residual(r):
+        return _threshold_residual(cfg, c, r, f_floor)
+
+    y_lo = residual(lo)
+    y_hi = residual(r_max)
     if not (y_lo > 0.0 and y_hi < 0.0):
         raise BracketingError(
-            f"threshold residual endpoints not (+, -) on [{lo:.6g}, {hi:.6g}]: "
+            f"threshold residual endpoints not (+, -) on [{lo:.6g}, {r_max:.6g}]: "
             f"({y_lo:.3g}, {y_hi:.3g})"
         )
-    scan = _scan(cfg, c, lo, hi, residual, SCAN_POINTS)
+    scan = _scan(residual, lo, r_max, SCAN_POINTS)
     if scan.count != 1:
         raise NonUniqueThreshold(
             f"threshold equation has {scan.count} roots at c={c:.6g}; refusing"
@@ -329,7 +340,7 @@ def _solve_threshold(cfg: AnyMarket, c: float, lo: float, hi: float, residual) -
     if b_lo == b_hi:
         return b_lo
     return bisect_root(
-        lambda r: residual(cfg, c, r),
+        residual,
         b_lo,
         b_hi,
         width_tol=1e-12 * r_max,
@@ -348,7 +359,7 @@ def solve_threshold_standard(cfg: AnyMarket, c: float) -> float:
     regime = classify_regime(cfg, c)
     if regime.kind is not RegimeKind.STANDARD:
         raise ValueError(f"c={c} is not in the standard regime")
-    return _solve_threshold(cfg, c, c, cfg.dist.r_max, threshold_residual_standard)
+    return _solve_threshold(cfg, c, c, float(cfg.dist.cdf(c)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -358,9 +369,7 @@ def solve_threshold_mid(cfg: AnyMarket, c: float) -> float:
     regime = classify_regime(cfg, c)
     if regime.kind is not RegimeKind.MID:
         raise ValueError(f"c={c} is not in the mid regime")
-    return _solve_threshold(
-        cfg, c, cfg.dist.r_min, cfg.dist.r_max, threshold_residual_mid
-    )
+    return _solve_threshold(cfg, c, cfg.dist.r_min, 0.0)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

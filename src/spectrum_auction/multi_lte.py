@@ -30,6 +30,7 @@ from .equilibrium import (
     bid_values,
     bid as single_bid,
     require_count,
+    require_law,
     require_numbers,
 )
 from .errors import InfeasibleBid, InvalidProfile
@@ -64,6 +65,7 @@ class MultiMarketConfig:
     def __post_init__(self):
         require_count("k_s", self.k_s, 2)
         require_count("k_a", self.k_a, 2)
+        require_law(self.dist)
         require_numbers(self, "eta_apo", "delta_lte", "theta_lte", "r_lte")
         for name in ("eta_apo", "delta_lte", "theta_lte"):
             v = getattr(self, name)
@@ -266,6 +268,30 @@ def _type_pool(dist: TypeDistribution, k_s: int, k_a: int, n: int, seed: int):
     return pool
 
 
+@lru_cache(maxsize=8)
+def _row_values(cfg: MultiMarketConfig, n: int, seed: int):
+    """The reserve-independent part of each pool row's auction, as three
+    read-only arrays ``(vs1, q, a1)``: the lowest shared seller's raw
+    virtual value ``eta*S1 + offset``, the second-lowest raw value ``q``
+    among ``eta*S1 + offset``, ``eta*S2 + offset``, ``A1`` and ``A2``, and
+    the lowest alone type ``A1``.
+
+    With ``g(x) = min(c, x)``, every seller's reserve-capped bid ``b``
+    has ``g(b) = g(raw value)`` in every regime: a shared value above
+    ``c`` and an alone type that abstains are both above ``c``, and an
+    alone type that bids ``c`` is at least ``c``. ``g`` is monotone, so
+    a cooperating row's price ``min(c, second-lowest bid)`` is
+    ``min(c, q)``, whatever ``c`` is. ``q`` is the row rule's price at an
+    infinite reserve."""
+    pool = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
+    shared = cfg.eta_apo * pool[:2] + cfg.shared_offset
+    q = second_price_rows(np.concatenate([shared, pool[2:]]).T, math.inf)[1]
+    vs1 = shared[0].copy()
+    for a in (vs1, q):
+        a.setflags(write=False)
+    return vs1, q, pool[2]
+
+
 def expected_payoff_multi(
     cfg: MultiMarketConfig,
     c: float,
@@ -279,18 +305,21 @@ def expected_payoff_multi(
 
     A row's cooperation and price depend only on its two lowest virtual
     bids, which monotone bid maps take from its two lowest types of each
-    group (see :func:`_type_pool`). So each reserve maps the pool's two
-    shared rows and two alone rows, not all ``k_s + k_a`` types, and the
-    estimate is bit-identical to one over the full matrix."""
+    group (see :func:`_type_pool`). A row cooperates when its lowest
+    shared seller or its lowest alone seller bids, and pays
+    ``min(c, q)`` with ``q`` priced once per pool (see
+    :func:`_row_values`). The estimate is bit-identical to one over the
+    full type matrix."""
     _check_samples(n)
-    pool = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
-    bids = np.concatenate(
-        [bid_values_shared(cfg, c, pool[:2]), bid_values_alone(cfg, c, pool[2:])]
-    )
-    coop, price = second_price_rows(bids.T, c)
-    pay = np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
+    vs1, q, a1 = _row_values(cfg, n, seed)
+    coop = np.isfinite(bid_values_alone(cfg, c, a1))
+    coop |= vs1 <= c
+    pay = np.minimum(c, q)
+    np.subtract(cfg.r_lte, pay, out=pay)
+    np.copyto(pay, cfg.delta_lte * cfg.r_lte, where=np.logical_not(coop, out=coop))
     half = len(pay) // 2
-    pairs = 0.5 * (pay[:half] + pay[half:])
+    pairs = pay[:half] + pay[half:]
+    pairs *= 0.5
     return float(pay.mean()), float(pairs.std(ddof=1) / math.sqrt(half))
 
 

@@ -162,12 +162,12 @@ class TestThresholdSolvers:
         # synthetic three-root residual exercises the refusal path
         import spectrum_auction.equilibrium as eq
 
-        def wiggly(cfg, c, r):
+        def wiggly(cfg, c, r, f_floor):
             r = np.asarray(r, dtype=float)
             out = np.sin((r - c) / (cfg.dist.r_max - c) * 3 * np.pi + 1e-3)
             return float(out) if np.ndim(out) == 0 else out
 
-        monkeypatch.setattr(eq, "threshold_residual_standard", wiggly)
+        monkeypatch.setattr(eq, "_threshold_residual", wiggly)
         eq.solve_threshold_standard.cache_clear()
         with pytest.raises(NonUniqueThreshold):
             eq.solve_threshold_standard(market_k4, 55.5)
@@ -176,12 +176,12 @@ class TestThresholdSolvers:
     def test_bracket_error_on_bad_signs(self, market_k4, monkeypatch):
         import spectrum_auction.equilibrium as eq
 
-        def positive(cfg, c, r):
+        def positive(cfg, c, r, f_floor):
             r = np.asarray(r, dtype=float)
             out = np.ones_like(r)
             return float(out) if np.ndim(out) == 0 else out
 
-        monkeypatch.setattr(eq, "threshold_residual_standard", positive)
+        monkeypatch.setattr(eq, "_threshold_residual", positive)
         eq.solve_threshold_standard.cache_clear()
         with pytest.raises(BracketingError):
             eq.solve_threshold_standard(market_k4, 55.5)

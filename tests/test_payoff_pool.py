@@ -1,12 +1,13 @@
 """The multi-provider payoff estimator works on a sorted four-column pool
-and the row rule finds the two lowest bids in one sweep; both must give
-exactly what the full computation gives.
+whose rows it prices once, and the row rule finds the two lowest bids in
+one sweep; both must give exactly what the full computation gives.
 
 The references here are coded independently: the row rule against
 ``np.partition``, and the estimator against the unsorted
 ``(n, k_s + k_a)`` type matrix mapped through ``bid_values_virtual``
 and then the partition rule."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,17 @@ from hypothesis.extra import numpy as hnp
 from spectrum_auction import MultiMarketConfig, RngStream, TypeDistribution
 from spectrum_auction import multi_lte
 from spectrum_auction.auction import second_price_rows
+from spectrum_auction.cli import parse_multi_market
+from spectrum_auction.equilibrium import solve_strategy
 from spectrum_auction.errors import SpectrumAuctionError
 from spectrum_auction.multi_lte import (
+    MC_SAMPLES,
     _type_pool,
     bid_values_virtual,
     expected_payoff_multi,
     shared_participation_cutoff,
 )
+from spectrum_auction.presets import preset
 
 UNIFORM = TypeDistribution.uniform(50, 200)
 TRUNC_NORMAL = TypeDistribution.truncated_normal(125, 50, 50, 200)
@@ -144,6 +149,59 @@ def test_estimator_equals_full_pool_reference(k_s, k_a, dist, eta, theta, r_lte,
     assert (bits(mean), bits(se)) == tuple(map(bits, expected))
 
 
+def pool_reserve(cfg, pool, i, source):
+    """A reserve on one of row ``i``'s own boundaries: a shared
+    seller's raw virtual value, an alone type, the row's second-lowest
+    raw value, or the alone market's abstention threshold at reserve
+    ``A1``, each computed here independently of the estimator."""
+    vs1, vs2 = cfg.eta_apo * pool[:2, i] + cfg.shared_offset
+    a1, a2 = pool[2:, i]
+    if source == "threshold":
+        strategy = solve_strategy(cfg.alone_market().sellers, float(a1))
+        return strategy.r_t if strategy.r_t is not None else strategy.r_x
+    values = {"vs1": vs1, "vs2": vs2, "a1": a1, "a2": a2}
+    values["q"] = sorted(values.values())[1]
+    return float(values[source])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k_s=st.integers(2, 5),
+    k_a=st.integers(2, 5),
+    dist=st.sampled_from([UNIFORM, TRUNC_NORMAL]),
+    eta=st.floats(0.05, 0.95),
+    theta=st.floats(0.05, 0.95),
+    r_lte=st.floats(60.0, 400.0),
+    source=st.sampled_from(["vs1", "vs2", "a1", "a2", "q", "threshold"]),
+    row=st.integers(0, 10**6),
+    nudge=st.sampled_from([-1, 0, 0, 1]),
+    n=st.sampled_from([4, 200, 2000]),
+    seed=st.integers(0, 2),
+)
+def test_estimator_at_reserves_taken_from_the_pool(
+    k_s, k_a, dist, eta, theta, r_lte, source, row, nudge, n, seed
+):
+    """Reserves exactly at, and one ulp either side of, a pool row's own
+    values hit every ``<=`` boundary of the bid maps and the ties at
+    ``c``."""
+    cfg = MultiMarketConfig(k_s, k_a, dist, eta, 0.4, theta, r_lte)
+    pool = _type_pool(dist, k_s, k_a, n, seed)
+    try:
+        c = pool_reserve(cfg, pool, row % n, source)
+    except SpectrumAuctionError:
+        return
+    if nudge:
+        c = math.nextafter(c, nudge * math.inf)
+    try:
+        expected = full_pool_payoff(cfg, c, n, seed)
+    except SpectrumAuctionError as exc:
+        with pytest.raises(type(exc)):
+            expected_payoff_multi(cfg, c, n=n, seed=seed)
+        return
+    mean, se = expected_payoff_multi(cfg, c, n=n, seed=seed)
+    assert (bits(mean), bits(se)) == tuple(map(bits, expected))
+
+
 @pytest.mark.parametrize("k_s, k_a", [(2, 2), (4, 2), (2, 5), (5, 3)])
 @pytest.mark.parametrize("dist", [UNIFORM, TRUNC_NORMAL], ids=["uniform", "trunc_normal"])
 def test_estimator_on_a_reserve_grid(k_s, k_a, dist):
@@ -206,3 +264,19 @@ def test_pool_draws_once_per_cache_key(monkeypatch):
     expected_payoff_multi(cfg, 120.0, n=402, seed=9)
     assert calls == [(400, 5), (400, 5), (402, 5)]
     assert multi_lte._type_pool(cfg.dist, 3, 2, 400, 9).shape == (4, 400)
+
+
+@pytest.mark.parametrize("c", [45.0, 120.0, 190.0, 199.0, 260.0])
+def test_a_warm_call_allocates_at_most_four_rows(c):
+    """Once the pool's row values are cached, a call allocates a few
+    row-length temporaries, not a copy of the pool per reserve."""
+    cfg = parse_multi_market(preset("fig12"))
+    n = MC_SAMPLES
+    expected_payoff_multi(cfg, c, n=n)
+    tracemalloc.start()
+    try:
+        expected_payoff_multi(cfg, c, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * 8

@@ -7,6 +7,7 @@ market with R = True. Each now fails at construction."""
 import pytest
 
 from spectrum_auction import MarketConfig, TypeDistribution
+from spectrum_auction.equilibrium import SellerMarket
 from spectrum_auction.errors import InvalidDistribution
 from spectrum_auction.multi_lte import MultiMarketConfig
 
@@ -81,3 +82,13 @@ def test_market_with_bool_rate_is_refused(uniform_dist):
 def test_markets_accept_ints(uniform_dist):
     assert MarketConfig(dist=uniform_dist, **{**MARKET, "r_lte": 95}).r_lte == 95
     assert MultiMarketConfig(dist=uniform_dist, **{**MULTI, "r_lte": 200}).r_lte == 200
+
+
+@pytest.mark.parametrize("dist", [None, "uniform", {"kind": "uniform", "r_min": 50, "r_max": 200}])
+def test_multi_market_rejects_a_dist_that_is_not_a_law(dist):
+    """It used to build, and failed only later in ``alone_market()``."""
+    with pytest.raises(ValueError) as seller:
+        SellerMarket(2, dist, 0.3)
+    with pytest.raises(ValueError) as multi:
+        MultiMarketConfig(dist=dist, **MULTI)
+    assert str(multi.value) == str(seller.value) == f"dist must be a TypeDistribution, got {dist!r}"

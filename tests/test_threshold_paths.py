@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from spectrum_auction import MarketConfig, TypeDistribution
 from spectrum_auction import equilibrium as eq
-from spectrum_auction.errors import SpectrumAuctionError
+from spectrum_auction.cli import parse_market
+from spectrum_auction.errors import BracketingError, NonUniqueThreshold, SpectrumAuctionError
+from spectrum_auction.numerics import bisect_root, sign_change_brackets
+from spectrum_auction.presets import preset
 
 LAWS = {
     "uniform[50,200]": TypeDistribution.uniform(50.0, 200.0),
@@ -143,8 +146,86 @@ def test_threshold_solves_are_the_parent_solves(monkeypatch):
         return out
 
     got = run()
-    monkeypatch.setattr(eq, "threshold_residual_standard", parent_standard)
-    monkeypatch.setattr(eq, "threshold_residual_mid", parent_mid)
+    monkeypatch.setattr(eq, "_threshold_residual", parent_residual)
     want = run()
     assert sum(isinstance(g, bytes) for g in got) > len(cases) // 2
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# A solve computes the standard regime's F(c) once, not in every residual
+# ---------------------------------------------------------------------------
+
+
+def parent_solve(sellers, c, lo, residual):
+    """The solve as the engine ran it before: every evaluation goes
+    through the public residual, which computes F(c) anew."""
+    r_max = sellers.dist.r_max
+
+    def f(r):
+        return residual(sellers, c, r)
+
+    if not (f(lo) > 0.0 and f(r_max) < 0.0):
+        raise BracketingError("endpoint signs")
+    xs = np.linspace(lo, r_max, eq.SCAN_POINTS)
+    brackets = sign_change_brackets(xs, f(xs))
+    if len(brackets) != 1:
+        raise NonUniqueThreshold("root count")
+    b_lo, b_hi = brackets[0]
+    if b_lo == b_hi:
+        return b_lo
+    return bisect_root(f, b_lo, b_hi, width_tol=1e-12 * r_max, residual_tol=1e-9 * r_max)
+
+
+def parent_outcome(sellers, c, lo, residual):
+    try:
+        return bits(parent_solve(sellers, c, lo, residual))
+    except SpectrumAuctionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig8", "appendixK"])
+def test_threshold_bits_unchanged_on_preset_reserve_grids(name):
+    sellers = parse_market(preset(name)).sellers
+    dist = sellers.dist
+    standard = np.linspace(dist.r_min, dist.r_max, 41)[:-1].tolist()
+    mid = np.linspace(sellers.low_regime_cap, dist.r_min, 12)[1:-1].tolist()
+    for solver in (eq.solve_threshold_standard, eq.solve_threshold_mid):
+        solver.cache_clear()
+    got = [solve_outcome(eq.solve_threshold_standard, sellers, c) for c in standard]
+    got += [solve_outcome(eq.solve_threshold_mid, sellers, c) for c in mid]
+    want = [parent_outcome(sellers, c, c, eq.threshold_residual_standard) for c in standard]
+    want += [parent_outcome(sellers, c, dist.r_min, eq.threshold_residual_mid) for c in mid]
+    assert sum(isinstance(w, bytes) for w in want) == len(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind, c", [("standard", 120.0), ("standard", 57.5), ("mid", 49.0)])
+def test_a_solve_makes_one_scalar_cdf_call_for_the_floor(monkeypatch, kind, c):
+    """Every scalar residual takes F(r); the standard regime's F(c) is
+    taken once per solve on top of them, and the mid regime has none."""
+    sellers = eq.SellerMarket(4, LAWS["TN(125,50)"], 0.3)
+    solver = {"standard": eq.solve_threshold_standard, "mid": eq.solve_threshold_mid}[kind]
+    cdf_args, residual_args = [], []
+    cdf, residual = TypeDistribution.cdf, eq._threshold_residual
+
+    def counting_cdf(self, r):
+        if isinstance(r, float):
+            cdf_args.append(r)
+        return cdf(self, r)
+
+    def counting_residual(cfg, c, r, f_floor):
+        if isinstance(r, float):
+            residual_args.append(r)
+        return residual(cfg, c, r, f_floor)
+
+    monkeypatch.setattr(TypeDistribution, "cdf", counting_cdf)
+    monkeypatch.setattr(eq, "_threshold_residual", counting_residual)
+    solver.cache_clear()
+    solver(sellers, c)
+    solver.cache_clear()
+    assert len(residual_args) > 10
+    floors = 1 if kind == "standard" else 0
+    assert len(cdf_args) == len(residual_args) + floors
+    if floors:
+        assert cdf_args[0] == c
