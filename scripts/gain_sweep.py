@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--r-values", type=float, nargs="+",
                     default=[30, 100, 190, 280, 370])
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--output", default=None)
     args = ap.parse_args()
 
@@ -32,7 +31,7 @@ def main():
         for r_lte in args.r_values:
             market = MarketConfig(args.k, dist, eta, delta, float(r_lte))
             xcfg = ExperimentConfig(market, args.replications, args.seed)
-            s = run_experiment(xcfg, workers=args.workers).summary
+            s = run_experiment(xcfg).summary
             print(",".join([
                 fmt9(delta), fmt9(eta), fmt9(float(r_lte)), fmt9(s.c_star),
                 fmt9(s.mean_rho_lte), fmt9(s.hw_rho_lte),

@@ -4,8 +4,9 @@ bit-stable CSV/JSON emission.
 Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold,
 non-unimodal curve or failed certification). Errors print one
 machine-readable JSON line to stderr. All numeric output carries 9
-significant digits. The SPECTRUM_AUCTION_WORKERS environment variable
-sets the default worker count (results never depend on it).
+significant digits. ``--workers`` and the SPECTRUM_AUCTION_WORKERS
+environment variable are still validated but have no effect: every
+experiment runs in this process.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .simulation import ExperimentConfig
 
 _MAX_SEED = 2**64 - 1
 _WORKERS_ENV = "SPECTRUM_AUCTION_WORKERS"
+_WORKERS_HELP = f"no longer has any effect; still checked (>= 1, default ${_WORKERS_ENV} or 1)"
 
 
 _MARKET_KEYS = {"k", "eta_apo", "delta_lte", "r_lte", "dist"}
@@ -253,15 +255,15 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _workers(args) -> int:
-    """Worker count: the flag when given, else the environment, else 1."""
+def _check_workers(args) -> None:
+    """Validate the worker count (the flag when given, else the
+    environment, else 1). It has no effect on the run."""
     value = args.workers
     if value is None:
         value = os.environ.get(_WORKERS_ENV, "1")
         value = int(value) if value.strip().lstrip("-").isdecimal() else value
     workers = _integer(value, "workers")
     _require(workers >= 1, f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def _experiment_config(args, cfg: dict, market, **kwargs) -> ExperimentConfig:
@@ -340,11 +342,11 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
     xcfg = _experiment_config(args, cfg, market, sweep=cfg.get("sweep"))
-    workers = _workers(args)
+    _check_workers(args)
     cells = simulation.sweep_cells(xcfg)
     summaries = []
     for idx, cell in enumerate(cells):
-        result = simulation.run_experiment(cell, workers=workers)
+        result = simulation.run_experiment(cell)
         summaries.append(
             {
                 "params": {
@@ -408,7 +410,8 @@ def cmd_multi(args) -> int:
         return 0
     # simulate
     xcfg = _experiment_config(args, cfg, market, reserve=args.reserve)
-    result = multi_lte.run_experiment_multi(xcfg, workers=_workers(args))
+    _check_workers(args)
+    result = multi_lte.run_experiment_multi(xcfg)
     if args.output:
         header, rows = _multi_replication_rows(market, result.replications)
         _write_rows(args.output, header, rows)
@@ -454,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help=f"worker processes (default: ${_WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p.add_argument("--summary", help="summary JSON path (default: stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--reserve", type=float, help="force a reserve instead of optimizing")
-    p.add_argument("--workers", type=int, help=f"worker processes (default: ${_WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p.add_argument("--summary", help="summary JSON path (default: stdout)")
     p.set_defaults(func=cmd_multi)
 

@@ -452,11 +452,12 @@ def _run_replication_multi(
     )
 
 
-def _run_block_multi(types, tails, args) -> list[MultiReplicationResult]:
-    cfg, c_star, start, stop, _ = args
+def _run_block_multi(
+    cfg: MultiMarketConfig, c_star: float, types, tails
+) -> list[MultiReplicationResult]:
     return [
         _run_replication_multi(cfg, c_star, rep, types[rep], tails[rep])
-        for rep in range(start, stop)
+        for rep in range(len(types))
     ]
 
 
@@ -472,7 +473,7 @@ def summarize_multi(reps, c_star: float) -> MultiMetricsSummary:
 
 
 def run_experiment_multi(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all multi-buyer replications; deterministic for a fixed
-    master seed regardless of ``workers``."""
+    """Run all multi-buyer replications; ``workers`` is accepted for
+    compatibility and has no effect."""
     k = xcfg.market.k_s + xcfg.market.k_a
-    return experiment(xcfg, workers, optimize_reserve_multi, _run_block_multi, summarize_multi, k)
+    return experiment(xcfg, optimize_reserve_multi, _run_block_multi, summarize_multi, k)

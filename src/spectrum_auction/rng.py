@@ -1,9 +1,8 @@
-"""Reproducible random streams for parallel Monte Carlo.
+"""Reproducible random streams for Monte Carlo.
 
 Each replication owns its own counter-based stream derived from
-``(master_seed, stream_index)``, so results are identical under any
-worker schedule: stream ``i`` always produces the same draw sequence
-regardless of which process runs it or in what order. Because draw
+``(master_seed, stream_index)``: stream ``i`` always produces the same
+draw sequence, whatever other streams were opened before it. Because draw
 ``j`` of a stream does not depend on how the draws before it were
 requested, a stream's first draws can be taken as one array and replayed
 later (:class:`DrawReplay`).

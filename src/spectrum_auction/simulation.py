@@ -9,24 +9,22 @@ draws of a row are its tail, replayed in order: the auction's tie-break
 or competition pick (only when one is needed) reads draw K, and the
 benchmark channel pick reads the next unread one, draw K+1 after an
 auction pick and draw K otherwise. This is the order a replication
-drawing one value at a time from its stream would consume. Aggregation
-is done on arrays ordered by replication index, so summaries are
-identical under any worker count.
+drawing one value at a time from its stream would consume. Every
+replication runs in the calling process, in index order.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .auction import Mode, _resolve_values, lte_payoff, realized_apo_payoffs
 from .equilibrium import MarketConfig, bid_values, require_count
+from .numerics import is_number
 from .provider import optimize_reserve
-from .rng import DrawReplay, RngStream
+from .rng import _U64_MAX, DrawReplay, RngStream
 
 SWEEP_KEYS = ("r_lte", "k", "delta_lte", "eta_apo")
 
@@ -37,7 +35,8 @@ class ExperimentConfig:
     ``MarketConfig`` or a ``MultiMarketConfig``. ``reserve`` forces a
     fixed reserve rate instead of optimizing (useful for studying
     off-optimum play); ``sweep`` maps ``SWEEP_KEYS`` to non-empty lists
-    of market values, and every cell must build a valid market."""
+    of market values, and every cell must build a valid market. The
+    master seed is an integer in [0, 2**64 - 1]."""
 
     market: MarketConfig
     replications: int = 5000
@@ -47,8 +46,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_count("replications", self.replications, 1)
-        if self.reserve is not None and not 0.0 <= self.reserve < math.inf:
-            raise ValueError(f"reserve must be finite and >= 0, got {self.reserve!r}")
+        require_count("master_seed", self.master_seed, 0)
+        if self.master_seed > _U64_MAX:
+            raise ValueError(f"master_seed must be at most 2**64 - 1, got {self.master_seed!r}")
+        if self.reserve is not None:
+            if not is_number(self.reserve):
+                raise ValueError(f"reserve must be a number, got {self.reserve!r}")
+            if not 0.0 <= self.reserve < math.inf:
+                raise ValueError(f"reserve must be finite and >= 0, got {self.reserve!r}")
         if self.sweep is not None:
             sweep_cells(self)
 
@@ -200,23 +205,10 @@ def _run_replication(cfg: MarketConfig, c_star: float, rep: int, types, tail) ->
     return ReplicationResult(**fields, welfare_max=social_welfare_max(cfg, fields["types"]))
 
 
-def _run_block(types, tails, args) -> list[ReplicationResult]:
-    cfg, c_star, start, stop, _ = args
+def _run_block(cfg: MarketConfig, c_star: float, types, tails) -> list[ReplicationResult]:
     return [
-        _run_replication(cfg, c_star, rep, types[rep], tails[rep]) for rep in range(start, stop)
+        _run_replication(cfg, c_star, rep, types[rep], tails[rep]) for rep in range(len(types))
     ]
-
-
-def run_blocks(block_fn, cfg, c_star: float, n: int, seed: int, workers: int) -> list:
-    """Replications ``0..n-1`` in replication order. ``block_fn`` maps
-    ``(cfg, c_star, start, stop, seed)`` to one contiguous block; with
-    several workers the blocks run on a process pool."""
-    if workers <= 1:
-        return block_fn((cfg, c_star, 0, n, seed))
-    block = max(1, -(-n // workers))
-    blocks = [(cfg, c_star, start, min(start + block, n), seed) for start in range(0, n, block)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for chunk in pool.map(block_fn, blocks) for r in chunk]
 
 
 def _half_width(values: np.ndarray) -> float:
@@ -257,15 +249,13 @@ def summarize(reps, c_star: float) -> MetricsSummary:
     )
 
 
-def experiment(
-    xcfg: ExperimentConfig, workers: int, optimize, block_fn, summarize_fn, sellers: int
-):
+def experiment(xcfg: ExperimentConfig, optimize, block_fn, summarize_fn, sellers: int):
     """Either buyer model's experiment: the forced reserve or the
-    model's optimum, every replication block, then its summary.
+    model's optimum, every replication, then its summary.
 
     Each replication's first ``sellers + 2`` draws are taken here, and
     its types come from one inverse-CDF call over all replications;
-    ``block_fn(types, tails, args)`` gets both, bound, in every block."""
+    ``block_fn(cfg, c_star, types, tails)`` runs them all in order."""
     cfg = xcfg.market
     c_star = xcfg.reserve if xcfg.reserve is not None else optimize(cfg).c_star
     n, seed = xcfg.replications, xcfg.master_seed
@@ -273,18 +263,17 @@ def experiment(
     for rep in range(n):
         draws[rep] = RngStream(seed, rep).uniforms(sellers + 2)
     types = cfg.dist.inverse_cdf(draws[:, :sellers])
-    bound = functools.partial(block_fn, types, draws[:, sellers:])
-    reps = run_blocks(bound, cfg, c_star, n, seed, workers)
+    reps = block_fn(cfg, c_star, types, draws[:, sellers:])
     return ExperimentResult(summarize_fn(reps, c_star), tuple(reps))
 
 
 def run_experiment(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and aggregate.
 
-    The optimal reserve is computed once up front. Deterministic for a
-    fixed master seed regardless of ``workers``.
+    The optimal reserve is computed once up front. ``workers`` is
+    accepted for compatibility and has no effect.
     """
-    return experiment(xcfg, workers, optimize_reserve, _run_block, summarize, xcfg.market.k)
+    return experiment(xcfg, optimize_reserve, _run_block, summarize, xcfg.market.k)
 
 
 def sweep_cells(xcfg: ExperimentConfig) -> list[ExperimentConfig]:
@@ -310,4 +299,5 @@ def sweep_cells(xcfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 
 def run_sweep(xcfg: ExperimentConfig, workers: int = 1) -> list[tuple[MarketConfig, ExperimentResult]]:
-    return [(cell.market, run_experiment(cell, workers)) for cell in sweep_cells(xcfg)]
+    """One experiment per sweep cell; ``workers`` has no effect."""
+    return [(cell.market, run_experiment(cell)) for cell in sweep_cells(xcfg)]

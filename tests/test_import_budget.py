@@ -1,9 +1,11 @@
-"""Commands on a uniform type law never import scipy.
+"""Commands on a uniform type law never import scipy, and no command
+imports ``multiprocessing`` or ``concurrent``.
 
 Only the truncated normal needs ``scipy.special`` (erf and ndtri), and
 the import costs about 0.3 s per process, so ``distributions`` imports
-it on the first truncated-normal use. Each check runs in a fresh
-interpreter, because the test session itself has scipy loaded."""
+it on the first truncated-normal use. Every experiment runs in the
+calling process, so nothing needs a process pool. Each check runs in a
+fresh interpreter, because the test session itself has scipy loaded."""
 import json
 import os
 import subprocess
@@ -17,11 +19,12 @@ UNIFORM = {"kind": "uniform", "r_min": 50.0, "r_max": 200.0}
 TN = {"kind": "truncated_normal", "r_min": 50.0, "r_max": 200.0, "mu": 125.0, "sigma": 50.0}
 
 RUN = """
-import sys
+import json, sys
 from spectrum_auction import cli
 codes = [cli.main(argv) for argv in {commands!r}]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(codes, len(loaded))
+pools = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+print(json.dumps([codes, len(loaded), pools]))
 """
 
 
@@ -30,8 +33,7 @@ def run_fresh(commands, cwd):
     proc = subprocess.run([sys.executable, "-c", RUN.format(commands=commands)],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = proc.stdout.strip().splitlines()[-1].rsplit(" ", 1)
-    return json.loads(codes), int(loaded)
+    return tuple(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
 def write_config(tmp_path, dist):
@@ -42,20 +44,20 @@ def write_config(tmp_path, dist):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    assert run_fresh([], tmp_path) == ([], 0)
+    assert run_fresh([], tmp_path) == ([], 0, [])
 
 
 def test_uniform_verify_and_optimize_load_no_scipy(tmp_path):
     cfg = write_config(tmp_path, UNIFORM)
     commands = [["verify", "--config", cfg, "--samples", "2000", "--output", "v.json"],
                 ["optimize", "--config", cfg, "--output", "o.json"]]
-    assert run_fresh(commands, tmp_path) == ([0, 0], 0)
+    assert run_fresh(commands, tmp_path) == ([0, 0], 0, [])
     assert json.loads((tmp_path / "v.json").read_text())["certified"] is True
 
 
 def test_truncated_normal_verify_still_certifies(tmp_path):
     cfg = write_config(tmp_path, TN)
     commands = [["verify", "--config", cfg, "--samples", "2000", "--output", "v.json"]]
-    codes, loaded = run_fresh(commands, tmp_path)
+    codes, loaded, _ = run_fresh(commands, tmp_path)  # scipy itself loads concurrent.futures
     assert codes == [0] and loaded > 0
     assert json.loads((tmp_path / "v.json").read_text())["certified"] is True

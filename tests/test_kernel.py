@@ -28,7 +28,6 @@ from spectrum_auction.simulation import (
     coexistence_benchmark,
     gain_summary,
     run_benchmark_replication,
-    run_blocks,
 )
 
 C = 150.0
@@ -115,16 +114,6 @@ def test_multi_seller_payoff_discounts_shared_then_reuses_single(multi_market):
         out = _resolve_virtual_values(np.array(values), 2, multi_market, C, RngStream(3, 0))
         assert np.array_equal(apo_payoffs_multi(out, types, multi_market),
                               realized_apo_payoffs(out, discounted, multi_market))
-
-
-def _block(args):
-    cfg, c_star, start, stop, seed = args
-    return [(cfg, c_star, rep, seed) for rep in range(start, stop)]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_blocks_keeps_replication_order(workers):
-    assert run_blocks(_block, "cfg", 1.5, 7, 9, workers) == [("cfg", 1.5, i, 9) for i in range(7)]
 
 
 def test_gain_summary_fields():

@@ -3,10 +3,17 @@ rule, ``numerics.is_number``: ints and floats, not bools or text.
 ``TypeDistribution.uniform("50", "200")`` used to build uniform
 [50, 200] through ``float()``, ``TypeDistribution("uniform", False,
 True)`` a law with bool bounds, and ``MarketConfig(..., r_lte=True)`` a
-market with R = True. Each now fails at construction."""
+market with R = True. Each now fails at construction.
+
+``ExperimentConfig`` checks its reserve by the same rule and its master
+seed as an unsigned 64-bit integer: ``reserve=True`` used to run and
+report ``c_star: True``, ``reserve="5"`` raised ``TypeError``, and a
+master seed of -1, 1.5, 2**64 or True built a config that failed only
+inside the random streams, or ran."""
+import numpy as np
 import pytest
 
-from spectrum_auction import MarketConfig, TypeDistribution
+from spectrum_auction import ExperimentConfig, MarketConfig, TypeDistribution
 from spectrum_auction.equilibrium import SellerMarket
 from spectrum_auction.errors import InvalidDistribution
 from spectrum_auction.multi_lte import MultiMarketConfig
@@ -92,3 +99,27 @@ def test_multi_market_rejects_a_dist_that_is_not_a_law(dist):
     with pytest.raises(ValueError) as multi:
         MultiMarketConfig(dist=dist, **MULTI)
     assert str(multi.value) == str(seller.value) == f"dist must be a TypeDistribution, got {dist!r}"
+
+
+@pytest.mark.parametrize("reserve", [True, False, "5", [5.0], np.float32(5.0)])
+def test_experiment_config_rejects_a_reserve_that_is_not_a_number(uniform_dist, reserve):
+    market = MarketConfig(dist=uniform_dist, **MARKET)
+    multi = MultiMarketConfig(dist=uniform_dist, **MULTI)
+    for m in (market, multi):
+        with pytest.raises(ValueError, match="reserve must be a number"):
+            ExperimentConfig(m, reserve=reserve)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, 2**64, True, "1", None, np.int64(-1)])
+def test_experiment_config_rejects_a_bad_master_seed(uniform_dist, seed):
+    market = MarketConfig(dist=uniform_dist, **MARKET)
+    with pytest.raises(ValueError, match="master_seed"):
+        ExperimentConfig(market, master_seed=seed)
+
+
+def test_experiment_config_accepts_seeds_and_reserves_in_range(uniform_dist):
+    market = MarketConfig(dist=uniform_dist, **MARKET)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)):
+        assert ExperimentConfig(market, master_seed=seed).master_seed == seed
+    for reserve in (None, 0, 140, 55.5, np.float64(55.5)):
+        assert ExperimentConfig(market, reserve=reserve).reserve == reserve
