@@ -71,6 +71,24 @@ class PayoffVector:
     apo: tuple[float, ...]
 
 
+def _rank(values: np.ndarray, c: float) -> tuple[np.ndarray | None, float]:
+    """The draw-free part of the auction rule on a bid array: refuse a
+    numeric bid above the reserve ``c``, then return the sellers tied
+    at the lowest bid and the price. A unique lowest bidder is paid the
+    reserve-capped second-lowest bid, tied bidders the tied bid. When
+    everyone abstains there is no lowest bidder: ``(None, 0.0)``."""
+    finite = values[np.isfinite(values)]
+    if finite.size and finite.max() > c:
+        raise InvalidProfile("numeric bids must not exceed the reserve rate")
+    m = values.min()
+    if math.isinf(m):
+        return None, 0.0
+    tied = np.nonzero(values == m)[0]
+    if len(tied) == 1:
+        return tied, min(c, float(np.delete(values, tied[0]).min()))
+    return tied, float(m)
+
+
 def _second_price(
     values: np.ndarray, c: float, rng: RngStream, k_s: int = 0
 ) -> tuple[Mode, int | None, int, float]:
@@ -83,19 +101,10 @@ def _second_price(
     several bids share the minimum) or a competition channel pick (only
     when everyone abstains), one draw each.
     """
-    finite = values[np.isfinite(values)]
-    if finite.size and finite.max() > c:
-        raise InvalidProfile("numeric bids must not exceed the reserve rate")
-    m = values.min()
-    if math.isinf(m):
+    tied, price = _rank(values, c)
+    if tied is None:
         return Mode.COMPETITION, None, k_s + rng.pick(len(values) - k_s), 0.0
-    tied = np.nonzero(values == m)[0]
-    if len(tied) == 1:
-        winner = int(tied[0])
-        price = min(c, float(np.delete(values, winner).min()))
-    else:
-        winner = int(tied[rng.pick(len(tied))])
-        price = float(m)
+    winner = int(tied[0] if len(tied) == 1 else tied[rng.pick(len(tied))])
     return Mode.COOPERATION, winner, winner, price
 
 
@@ -184,22 +193,19 @@ def expected_apo_payoff(
 
     Three cases: a strict loser keeps its rate; a tied-minimum bidder
     wins with probability 1/|tied|; when everyone abstains the expected
-    keep-fraction is (K-1+eta)/K of its rate.
+    keep-fraction is (K-1+eta)/K of its rate. A profile that
+    :func:`resolve` refuses is refused here too.
     """
     values = profile.values()
     if len(types) != len(values):
         raise InvalidProfile("types and bids must have equal length")
+    if not 0 <= k < len(values):
+        raise InvalidProfile(f"seller index {k} is outside a profile of {len(values)} bids")
+    tied, price = _rank(values, c)
     r_k = float(types[k])
-    m = values.min()
-    if math.isinf(m):
+    if tied is None:
         return cfg.externality_share * r_k
-    if values[k] > m:
+    if k not in tied:
         return r_k
-    tied = np.nonzero(values == m)[0]
     n_tied = len(tied)
-    if n_tied == 1:
-        others = np.delete(values, k)
-        r_pay = min(c, float(others.min()))
-    else:
-        r_pay = float(m)
-    return r_pay / n_tied + (n_tied - 1) / n_tied * r_k
+    return price / n_tied + (n_tied - 1) / n_tied * r_k

@@ -1,8 +1,9 @@
 """Command-line interface: config ingestion, subcommand dispatch, and
 bit-stable CSV/JSON emission.
 
-Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold,
-non-unimodal curve or failed certification). Errors print one
+Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold
+or failed certification; a payoff curve that fails the unimodality
+guard falls back to a grid search instead). Errors print one
 machine-readable JSON line to stderr. All numeric output carries 9
 significant digits. ``--workers`` and the SPECTRUM_AUCTION_WORKERS
 environment variable are still validated but have no effect: every

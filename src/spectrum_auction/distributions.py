@@ -53,14 +53,6 @@ def _std_pdf(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
-def _floats(*values) -> list[float]:
-    """``values`` as floats; bools, text and other non-numbers raise
-    rather than pass through ``float()``."""
-    if not all(is_number(v) for v in values):
-        raise InvalidDistribution(f"distribution parameters must be numbers, got {values}")
-    return [float(v) for v in values]
-
-
 @dataclass(frozen=True)
 class TypeDistribution:
     """Type law on ``[r_min, r_max]`` with strictly positive density.
@@ -76,24 +68,26 @@ class TypeDistribution:
     sigma: float | None = None
 
     def __post_init__(self):
+        """The one place the law's values are checked: each is a finite
+        number by :func:`numerics.is_number` (bools and text are not),
+        stored as a float; ``mu`` and ``sigma`` may be ``None`` for the
+        uniform kind."""
         if self.kind not in (UNIFORM, TRUNCATED_NORMAL):
             raise InvalidDistribution(f"unknown kind {self.kind!r}")
-        values = (self.r_min, self.r_max, self.mu, self.sigma)
-        if not all(v is None or is_number(v) for v in values):
-            raise InvalidDistribution(
-                f"r_min, r_max, mu and sigma must be numbers, got {values}"
-            )
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise InvalidDistribution(
-                f"r_min, r_max, mu and sigma must be finite, got {values}"
-            )
+        for name in ("r_min", "r_max", "mu", "sigma"):
+            v = getattr(self, name)
+            if v is None and self.kind == UNIFORM and name in ("mu", "sigma"):
+                continue
+            if not is_number(v):
+                raise InvalidDistribution(f"distribution {name} must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise InvalidDistribution(f"distribution {name} must be finite, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if not (0.0 <= self.r_min < self.r_max):
             raise InvalidDistribution(
                 f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]"
             )
         if self.kind == TRUNCATED_NORMAL:
-            if self.mu is None or self.sigma is None:
-                raise InvalidDistribution("truncated normal needs mu and sigma")
             if not self.sigma > 0.0:
                 raise InvalidDistribution("sigma must be positive")
             if not self._mass > 0.0:
@@ -104,13 +98,13 @@ class TypeDistribution:
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float) -> "TypeDistribution":
-        return cls(UNIFORM, *_floats(r_min, r_max))
+        return cls(UNIFORM, r_min, r_max)
 
     @classmethod
     def truncated_normal(
         cls, mu: float, sigma: float, r_min: float, r_max: float
     ) -> "TypeDistribution":
-        return cls(TRUNCATED_NORMAL, *_floats(r_min, r_max, mu, sigma))
+        return cls(TRUNCATED_NORMAL, r_min, r_max, mu, sigma)
 
     @property
     def span(self) -> float:
@@ -295,9 +289,8 @@ class TypeDistribution:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TypeDistribution":
-        """Build from a JSON fragment; unknown keys are rejected. Bounds
-        are numbers (ints or floats, not bools or text); ``mu`` and
-        ``sigma`` are numbers or null."""
+        """Build from a JSON fragment; unknown keys are rejected and the
+        values are checked by the constructor."""
         if not isinstance(cfg, dict):
             raise InvalidDistribution("distribution config must be an object")
         allowed = {"kind", "r_min", "r_max", "mu", "sigma"}
@@ -307,13 +300,4 @@ class TypeDistribution:
         for key in ("kind", "r_min", "r_max"):
             if key not in cfg:
                 raise InvalidDistribution(f"missing distribution key {key!r}")
-        values = {}
-        for key in ("r_min", "r_max", "mu", "sigma"):
-            v = cfg.get(key)
-            if v is None and key in ("mu", "sigma"):
-                values[key] = None
-            elif is_number(v):
-                values[key] = float(v)
-            else:
-                raise InvalidDistribution(f"distribution {key} must be a number, got {v!r}")
-        return cls(kind=cfg["kind"], **values)
+        return cls(**cfg)

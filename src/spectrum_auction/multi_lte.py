@@ -30,7 +30,6 @@ from .equilibrium import (
     bid_values,
     bid as single_bid,
     require_count,
-    require_law,
     require_numbers,
 )
 from .errors import InfeasibleBid, InvalidProfile
@@ -65,14 +64,10 @@ class MultiMarketConfig:
     def __post_init__(self):
         require_count("k_s", self.k_s, 2)
         require_count("k_a", self.k_a, 2)
-        require_law(self.dist)
-        require_numbers(self, "eta_apo", "delta_lte", "theta_lte", "r_lte")
-        for name in ("eta_apo", "delta_lte", "theta_lte"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not 0.0 < self.r_lte < math.inf:
-            raise ValueError("r_lte must be positive and finite")
+        self.alone_market()  # checks dist, eta_apo, delta_lte and r_lte
+        require_numbers(self, "theta_lte")
+        if not 0.0 < self.theta_lte < 1.0:
+            raise ValueError("theta_lte must lie in (0, 1)")
 
     @property
     def shared_offset(self) -> float:
@@ -113,21 +108,15 @@ class MultiAuctionOutcome(AuctionOutcome):
 
 
 def virtual_bid(raw: Bid, origin: Origin, cfg: MultiMarketConfig, c: float) -> VirtualBid:
-    """Normalize a raw bid.
-
-    Shared-origin numeric bids must not exceed ``c - (1-theta) R``;
-    alone-origin bids must not exceed ``c``.
-    """
+    """Normalize a raw bid: a shared bid adds ``(1-theta) R``. The
+    normalized value must not exceed ``c``, the cap the auction and
+    :func:`bid_values_shared` apply."""
     if raw.is_abstain:
         return VirtualBid(None, origin)
-    if origin is Origin.SHARED:
-        cap = c - cfg.shared_offset
-        if raw.rate > cap:
-            raise InfeasibleBid(f"shared bid {raw.rate} exceeds cap {cap}")
-        return VirtualBid(raw.rate + cfg.shared_offset, origin)
-    if raw.rate > c:
-        raise InfeasibleBid(f"bid {raw.rate} exceeds reserve {c}")
-    return VirtualBid(raw.rate, origin)
+    rate = raw.rate + cfg.shared_offset if origin is Origin.SHARED else raw.rate
+    if rate > c:
+        raise InfeasibleBid(f"bid {raw.rate} normalizes to {rate}, above the reserve {c}")
+    return VirtualBid(rate, origin)
 
 
 def shared_participation_cutoff(cfg: MultiMarketConfig, c: float) -> float:
@@ -194,6 +183,8 @@ def resolve_multi(
 ) -> MultiAuctionOutcome:
     """Resolve one multi-buyer auction from virtual bids (shared sellers
     first, then alone sellers, matching ``vbids`` origins)."""
+    if len(vbids) < 2:
+        raise InvalidProfile("a profile needs at least two bids")
     k_s = sum(1 for b in vbids if b.origin is Origin.SHARED)
     for i, b in enumerate(vbids):
         expected = Origin.SHARED if i < k_s else Origin.ALONE

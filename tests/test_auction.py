@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import (
@@ -19,6 +21,18 @@ from spectrum_auction.auction import AuctionOutcome
 
 def profile(*bids):
     return BidProfile.of(bids)
+
+
+class FixedPick:
+    """A stream stand-in whose picks all return ``index``; ``n`` records
+    the size of the last pick (1 when none was made)."""
+
+    def __init__(self, index):
+        self.index, self.n = index, 1
+
+    def pick(self, n):
+        self.n = n
+        return self.index
 
 
 class TestResolve:
@@ -156,6 +170,47 @@ class TestExpectedPayoff:
             # binomial-ish spread of the winner indicator
             se = 30.0 / np.sqrt(n)
             assert abs(means[k] - expect) < 3 * se
+
+    @pytest.mark.parametrize("k", [-1, 4, 5])
+    def test_rejects_a_seller_outside_the_profile(self, market_k4, k):
+        """``k = -1`` used to return the last seller's payoff, and
+        ``k = 4`` raised a bare ``IndexError``."""
+        p = profile(60.0, 80.0, None, 70.0)
+        with pytest.raises(InvalidProfile, match="seller index"):
+            expected_apo_payoff(k, p, (60.0, 120.0, 90.0, 80.0), 80.0, market_k4)
+
+    @given(
+        bids=st.lists(st.sampled_from([None, 40.0, 55.0, 60.0, 80.0, 300.0]), min_size=2, max_size=5),
+        c=st.sampled_from([55.0, 80.0, 100.0]),
+        eta=st.floats(min_value=0.01, max_value=0.99),
+        types=st.lists(st.floats(min_value=1.0, max_value=200.0), min_size=5, max_size=5),
+    )
+    @example(bids=[60.0, 300.0], c=100.0, eta=0.3, types=[60.0, 70.0, 80.0, 90.0, 100.0])
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_enumerated_tie_break_average(self, trunc_normal, bids, c, eta, types):
+        """``expected_apo_payoff`` raises exactly when ``resolve`` does;
+        otherwise it is the average of ``realized_apo_payoffs`` over
+        every pick the auction can make. Bids (60, 300) at c = 100 used
+        to give seller 0 a payoff of 100 for a profile ``resolve``
+        refuses."""
+        from spectrum_auction import MarketConfig
+
+        cfg = MarketConfig(len(bids), trunc_normal, eta, 0.4, 95.0)
+        types = types[: len(bids)]
+        p = BidProfile.of(bids)
+        probe = FixedPick(0)
+        try:
+            resolve(p, c, probe)
+        except InvalidProfile:
+            for k in range(len(bids)):
+                with pytest.raises(InvalidProfile):
+                    expected_apo_payoff(k, p, types, c, cfg)
+            return
+        outcomes = [resolve(p, c, FixedPick(i)) for i in range(probe.n)]
+        for k in range(len(bids)):
+            exact = sum(Fraction(realized_apo_payoffs(o, types, cfg)[k]) for o in outcomes)
+            expect = float(exact / len(outcomes))
+            assert expected_apo_payoff(k, p, types, c, cfg) == pytest.approx(expect, rel=1e-12)
 
     @given(
         r_k=st.floats(min_value=1.0, max_value=200.0),

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectrum_auction import (
     Bid,
     InfeasibleBid,
+    InvalidProfile,
     MarketConfig,
     Mode,
     MultiExperimentConfig,
@@ -61,6 +66,35 @@ class TestVirtualBid:
         with pytest.raises(InfeasibleBid):
             virtual_bid(Bid.of(150.0), Origin.ALONE, multi_market, 140.0)
 
+    @given(
+        theta=st.floats(min_value=0.01, max_value=0.99),
+        r_lte=st.floats(min_value=1.0, max_value=1000.0),
+        c=st.floats(min_value=0.0, max_value=1000.0),
+        ulps=st.integers(min_value=-3, max_value=3),
+    )
+    @example(theta=0.8627794553427012, r_lte=325.4653867739093, c=226.09129103966657, ulps=0)
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_shared_bid_resolves(self, uniform_dist, theta, r_lte, c, ulps):
+        """A shared raw bid is accepted exactly when its normalized
+        value is at most ``c``, the rule the auction applies, so an
+        accepted bid always resolves. The cap used to be checked on the
+        raw bid as ``c - (1-theta) R``, which rounding let through for
+        raw bids whose normalized value exceeds ``c``."""
+        cfg = MultiMarketConfig(2, 2, uniform_dist, 0.3, 0.4, theta, r_lte)
+        raw = c - cfg.shared_offset
+        for _ in range(abs(ulps)):
+            raw = math.nextafter(raw, math.copysign(math.inf, ulps))
+        if raw < 0.0:
+            return
+        try:
+            vb = virtual_bid(Bid.of(raw), Origin.SHARED, cfg, c)
+        except InfeasibleBid:
+            assert raw + cfg.shared_offset > c
+            return
+        alone = [VirtualBid(None, Origin.ALONE)] * 2
+        out = resolve_multi([vb, VirtualBid(None, Origin.SHARED), *alone], cfg, c, RngStream(0, 0))
+        assert out.winner == 0 and out.virtual_price == c
+
 
 class TestSharedBidding:
     def test_below_cutoff_bids_discounted_rate(self, multi_market):
@@ -95,6 +129,14 @@ class TestAloneBidding:
 
 
 class TestResolveMulti:
+    @pytest.mark.parametrize("n_bids", [0, 1])
+    def test_rejects_fewer_than_two_bids(self, multi_market, n_bids):
+        """One bid used to fail inside numpy with a zero-size array
+        ``ValueError``."""
+        vbids = [VirtualBid(70.0, Origin.ALONE)][:n_bids]
+        with pytest.raises(InvalidProfile, match="at least two bids"):
+            resolve_multi(vbids, multi_market, 140.0, RngStream(0, 0))
+
     def test_shared_winner_payment_identity(self, multi_market):
         # second virtual price 120; shared winner nets 20; buyer gets 80
         vbids = [

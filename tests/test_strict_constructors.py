@@ -57,6 +57,19 @@ def test_direct_construction_rejects_non_numbers(key, value):
         TypeDistribution(**fields)
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("uniform", "r_min"), ("uniform", "r_max"),
+    ("truncated_normal", "r_min"), ("truncated_normal", "r_max"),
+    ("truncated_normal", "mu"), ("truncated_normal", "sigma"),
+])
+def test_direct_construction_rejects_a_none_value(kind, key):
+    """A ``None`` bound used to raise a bare ``TypeError`` from the
+    range check."""
+    fields = {"kind": kind, **TN, key: None}
+    with pytest.raises(InvalidDistribution, match=f"{key} must be a number, got None"):
+        TypeDistribution(**fields)
+
+
 def test_numbers_still_build():
     assert TypeDistribution.uniform(50, 200) == TypeDistribution("uniform", 50.0, 200.0)
     assert TypeDistribution.uniform(50, 200).r_min == 50.0
