@@ -194,11 +194,14 @@ def expected_apo_payoff(
     Three cases: a strict loser keeps its rate; a tied-minimum bidder
     wins with probability 1/|tied|; when everyone abstains the expected
     keep-fraction is (K-1+eta)/K of its rate. A profile that
-    :func:`resolve` refuses is refused here too.
+    :func:`resolve` refuses is refused here too, and so is one whose
+    length is not the market's K.
     """
     values = profile.values()
     if len(types) != len(values):
         raise InvalidProfile("types and bids must have equal length")
+    if len(values) != cfg.k:
+        raise InvalidProfile(f"a profile of {len(values)} bids does not fit {cfg.k} sellers")
     if not 0 <= k < len(values):
         raise InvalidProfile(f"seller index {k} is outside a profile of {len(values)} bids")
     tied, price = _rank(values, c)

@@ -5,18 +5,18 @@ Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold
 or failed certification; a payoff curve that fails the unimodality
 guard falls back to a grid search instead). Errors print one
 machine-readable JSON line to stderr. All numeric output carries 9
-significant digits. ``--workers`` and the SPECTRUM_AUCTION_WORKERS
-environment variable are still validated but have no effect: every
-experiment runs in this process.
+significant digits. Each action accepts only the flags it reads; an
+unknown flag is a usage error (exit 2). ``--workers`` is still checked
+(an integer >= 1) but has no effect: every experiment runs in this
+process.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from enum import Enum
 
 import numpy as np
@@ -31,13 +31,6 @@ from .presets import PRESETS, preset
 from .rng import RngStream
 from .simulation import ExperimentConfig
 
-_MAX_SEED = 2**64 - 1
-_WORKERS_ENV = "SPECTRUM_AUCTION_WORKERS"
-_WORKERS_HELP = f"no longer has any effect; still checked (>= 1, default ${_WORKERS_ENV} or 1)"
-
-
-_MARKET_KEYS = {"k", "eta_apo", "delta_lte", "r_lte", "dist"}
-_MULTI_KEYS = {"k_s", "k_a", "eta_apo", "delta_lte", "theta_lte", "r_lte", "dist"}
 _TOP_KEYS = {
     "market",
     "multi_market",
@@ -87,8 +80,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _integer(value, name: str) -> int:
-    """A count from a flag, a config or the environment: an int or an
-    integral float; bools, fractions and non-numbers are config errors."""
+    """A count from a flag or a config: an int or an integral float;
+    bools, fractions and non-numbers are config errors."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     _require(type(value) is int, f"{name} must be an integer, got {value!r}")
@@ -130,29 +123,36 @@ def _parse_block(block: dict, keys: set[str], label: str) -> dict:
     return block
 
 
-def _parse_market_block(cfg: dict, label: str, keys: set[str], cls):
-    """Build ``cls`` from the ``label`` block: seller counts are ints,
-    ``dist`` a type law read by ``TypeDistribution.from_config`` (which
-    applies the same number rule), every other key a number."""
-    _require(label in cfg, f"config needs a '{label}' block")
-    block = _parse_block(cfg[label], keys, label)
-    fields = {
-        key: _integer(v, key) if key.startswith("k") else _number(v, key)
-        for key, v in block.items()
-        if key != "dist"
-    }
+def _built(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a refused input reported as a
+    config error."""
     try:
-        return cls(dist=TypeDistribution.from_config(block["dist"]), **fields)
+        return make(*args, **kwargs)
     except (InvalidDistribution, ValueError, TypeError) as exc:
         raise InvalidConfig(str(exc))
 
 
+def _parse_market_block(cfg: dict, label: str, cls):
+    """Build ``cls`` from the ``label`` block, whose keys are the fields
+    of ``cls``: seller counts are ints, ``dist`` a type law read by
+    ``TypeDistribution.from_config`` (which applies the same number
+    rule), every other key a number."""
+    _require(label in cfg, f"config needs a '{label}' block")
+    block = _parse_block(cfg[label], {f.name for f in fields(cls)}, label)
+    values = {
+        key: _integer(v, key) if key.startswith("k") else _number(v, key)
+        for key, v in block.items()
+        if key != "dist"
+    }
+    return _built(cls, dist=_built(TypeDistribution.from_config, block["dist"]), **values)
+
+
 def parse_market(cfg: dict) -> MarketConfig:
-    return _parse_market_block(cfg, "market", _MARKET_KEYS, MarketConfig)
+    return _parse_market_block(cfg, "market", MarketConfig)
 
 
 def parse_multi_market(cfg: dict) -> MultiMarketConfig:
-    return _parse_market_block(cfg, "multi_market", _MULTI_KEYS, MultiMarketConfig)
+    return _parse_market_block(cfg, "multi_market", MultiMarketConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -251,36 +251,22 @@ def _reserve_dict(opt) -> dict:
     }
 
 
-def _checked_seed(seed: int) -> int:
-    _require(0 <= seed <= _MAX_SEED, f"seed must lie in [0, 2**64 - 1], got {seed}")
-    return seed
-
-
-def _check_workers(args) -> None:
-    """Validate the worker count (the flag when given, else the
-    environment, else 1). It has no effect on the run."""
-    value = args.workers
-    if value is None:
-        value = os.environ.get(_WORKERS_ENV, "1")
-        value = int(value) if value.strip().lstrip("-").isdecimal() else value
-    workers = _integer(value, "workers")
-    _require(workers >= 1, f"workers must be >= 1, got {workers}")
-
-
 def _experiment_config(args, cfg: dict, market, **kwargs) -> ExperimentConfig:
     """Either simulate command's config. Replications and seed come from
-    the flag, else the config, else the default; the config checks them."""
+    the flag, else the config, else the default; the config checks them.
+    ``--workers`` has no effect on the run but must be >= 1."""
     reps = args.replications if args.replications is not None else cfg.get("replications", 5000)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    try:
-        return ExperimentConfig(
-            market,
-            replications=_integer(reps, "replications"),
-            master_seed=_checked_seed(_integer(seed, "seed")),
-            **kwargs,
-        )
-    except ValueError as exc:
-        raise InvalidConfig(str(exc))
+    xcfg = _built(
+        ExperimentConfig,
+        market,
+        replications=_integer(reps, "replications"),
+        master_seed=_integer(seed, "seed"),
+        sweep=cfg.get("sweep"),
+        **kwargs,
+    )
+    _require(args.workers is None or args.workers >= 1, f"workers must be >= 1, got {args.workers}")
+    return xcfg
 
 
 # Per-replication CSV columns after the types and bids, and the result
@@ -320,12 +306,12 @@ def _rows(k: int, reps, columns):
         + [f"bid_{i+1}" for i in range(k)]
         + list(columns)
     )
-    fields = [_COLUMN_FIELDS.get(name, name) for name in columns]
+    attrs = [_COLUMN_FIELDS.get(name, name) for name in columns]
     rows = [
         [str(r.rep)]
         + [fmt9(t) for t in r.types]
         + [fmt9(b) for b in r.bids]
-        + [_cell(getattr(r, field)) for field in fields]
+        + [_cell(getattr(r, attr)) for attr in attrs]
         for r in reps
     ]
     return header, rows
@@ -342,8 +328,7 @@ def _multi_replication_rows(market: MultiMarketConfig, reps):
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    xcfg = _experiment_config(args, cfg, market, sweep=cfg.get("sweep"))
-    _check_workers(args)
+    xcfg = _experiment_config(args, cfg, market)
     cells = simulation.sweep_cells(xcfg)
     summaries = []
     for idx, cell in enumerate(cells):
@@ -381,7 +366,7 @@ def cmd_verify(args) -> int:
         type_grid=args.type_grid,
         bid_grid=args.bid_grid,
         samples=args.samples,
-        rng=RngStream(_checked_seed(args.seed if args.seed is not None else 0), 0),
+        rng=_built(RngStream, args.seed, 0),
     )
     out = asdict(report)
     out["c"] = c
@@ -393,25 +378,29 @@ def _require_multi_samples(n: int) -> None:
     _require(n >= 4 and n % 2 == 0, f"--samples must be an even number >= 4, got {n}")
 
 
-def cmd_multi(args) -> int:
+def cmd_multi_optimize(args) -> int:
+    market = parse_multi_market(load_config(args))
+    _require_multi_samples(args.samples)
+    _emit_json(_reserve_dict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
+    return 0
+
+
+def cmd_multi_payoff_curve(args) -> int:
     cfg = load_config(args)
     market = parse_multi_market(cfg)
-    if args.action == "optimize":
-        _require_multi_samples(args.samples)
-        _emit_json(_reserve_dict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
-        return 0
-    if args.action == "payoff-curve":
-        _require_multi_samples(args.samples)
-        grid = _curve_grid(cfg, args)
-        rows = []
-        for c in grid:
-            mean, se = multi_lte.expected_payoff_multi(market, float(c), n=args.samples)
-            rows.append((fmt9(float(c)), fmt9(mean), fmt9(se)))
-        _write_rows(args.output, ["c", "expected_payoff", "se"], rows)
-        return 0
-    # simulate
+    _require_multi_samples(args.samples)
+    rows = []
+    for c in _curve_grid(cfg, args):
+        mean, se = multi_lte.expected_payoff_multi(market, float(c), n=args.samples)
+        rows.append((fmt9(float(c)), fmt9(mean), fmt9(se)))
+    _write_rows(args.output, ["c", "expected_payoff", "se"], rows)
+    return 0
+
+
+def cmd_multi_simulate(args) -> int:
+    cfg = load_config(args)
+    market = parse_multi_market(cfg)
     xcfg = _experiment_config(args, cfg, market, reserve=args.reserve)
-    _check_workers(args)
     result = multi_lte.run_experiment_multi(xcfg)
     if args.output:
         header, rows = _multi_replication_rows(market, result.replications)
@@ -425,66 +414,54 @@ def cmd_multi(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_args(p):
-    p.add_argument("--config", help="path to a JSON run config")
-    p.add_argument("--preset", help=f"bundled preset name ({', '.join(sorted(PRESETS))})")
-    p.add_argument("--output", help="output path (default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Flag groups, each defined once; an action lists the groups it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="path to a JSON run config")
+    config.add_argument("--preset", help=f"bundled preset name ({', '.join(sorted(PRESETS))})")
+    config.add_argument("--output", help="output path (default: stdout)")
+    reserve = argparse.ArgumentParser(add_help=False)
+    reserve.add_argument("--c", type=float, help="reserve rate (Mbps)")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--c-min", dest="c_min", type=float)
+    curve.add_argument("--c-max", dest="c_max", type=float)
+    curve.add_argument("--steps", type=int)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--replications", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--workers", type=int, help="no longer has any effect; still checked (>= 1)")
+    run.add_argument("--summary", help="summary JSON path (default: stdout)")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=int, default=100_000)
+
+    def add(sub, name, func, text, *groups):
+        p = sub.add_parser(name, parents=[config, *groups], help=text)
+        p.set_defaults(func=func)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="spectrum-auction",
         description="Reverse-auction engine for buying channel access from Wi-Fi operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("equilibrium", help="bidding-strategy thresholds at a reserve rate")
-    _add_config_args(p)
-    p.add_argument("--c", type=float, help="reserve rate (Mbps)")
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("payoff-curve", help="expected payoff across reserve rates (CSV)")
-    _add_config_args(p)
-    p.add_argument("--c-min", dest="c_min", type=float)
-    p.add_argument("--c-max", dest="c_max", type=float)
-    p.add_argument("--steps", type=int)
-    p.set_defaults(func=cmd_payoff_curve)
-
-    p = sub.add_parser("optimize", help="optimal reserve rate (JSON)")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("simulate", help="Monte Carlo experiment vs. the benchmark")
-    _add_config_args(p)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
-    p.add_argument("--summary", help="summary JSON path (default: stdout)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="best-response certification (JSON)")
-    _add_config_args(p)
-    p.add_argument("--c", type=float)
-    p.add_argument("--samples", type=int, default=100_000)
+    add(sub, "equilibrium", cmd_equilibrium,
+        "bidding-strategy thresholds at a reserve rate", reserve)
+    add(sub, "payoff-curve", cmd_payoff_curve, "expected payoff across reserve rates (CSV)", curve)
+    add(sub, "optimize", cmd_optimize, "optimal reserve rate (JSON)")
+    add(sub, "simulate", cmd_simulate, "Monte Carlo experiment vs. the benchmark", run)
+    p = add(sub, "verify", cmd_verify, "best-response certification (JSON)", reserve, samples)
     p.add_argument("--type-grid", dest="type_grid", type=int, default=50)
     p.add_argument("--bid-grid", dest="bid_grid", type=int, default=101)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("multi-lte", help="multi-buyer variant")
-    p.add_argument("action", choices=["optimize", "simulate", "payoff-curve"])
-    _add_config_args(p)
-    p.add_argument("--c-min", dest="c_min", type=float)
-    p.add_argument("--c-max", dest="c_max", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
+    multi = sub.add_parser("multi-lte", help="multi-buyer variant")
+    actions = multi.add_subparsers(dest="action", required=True)
+    add(actions, "optimize", cmd_multi_optimize, "optimal reserve rate (JSON)", samples)
+    add(actions, "payoff-curve", cmd_multi_payoff_curve,
+        "Monte Carlo expected payoff across reserve rates (CSV)", curve, samples)
+    p = add(actions, "simulate", cmd_multi_simulate,
+            "Monte Carlo experiment vs. the benchmark", run)
     p.add_argument("--reserve", type=float, help="force a reserve instead of optimizing")
-    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
-    p.add_argument("--summary", help="summary JSON path (default: stdout)")
-    p.set_defaults(func=cmd_multi)
-
     return parser
 
 

@@ -463,8 +463,7 @@ def summarize_multi(reps, c_star: float) -> MultiMetricsSummary:
     )
 
 
-def run_experiment_multi(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all multi-buyer replications; ``workers`` is accepted for
-    compatibility and has no effect."""
+def run_experiment_multi(xcfg: ExperimentConfig) -> ExperimentResult:
+    """Run all multi-buyer replications."""
     k = xcfg.market.k_s + xcfg.market.k_a
     return experiment(xcfg, optimize_reserve_multi, _run_block_multi, summarize_multi, k)

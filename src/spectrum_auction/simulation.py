@@ -35,8 +35,8 @@ class ExperimentConfig:
     ``MarketConfig`` or a ``MultiMarketConfig``. ``reserve`` forces a
     fixed reserve rate instead of optimizing (useful for studying
     off-optimum play); ``sweep`` maps ``SWEEP_KEYS`` to non-empty lists
-    of market values, and every cell must build a valid market. The
-    master seed is an integer in [0, 2**64 - 1]."""
+    of market values, and every cell must build a valid ``MarketConfig``.
+    The master seed is an integer in [0, 2**64 - 1]."""
 
     market: MarketConfig
     replications: int = 5000
@@ -267,22 +267,21 @@ def experiment(xcfg: ExperimentConfig, optimize, block_fn, summarize_fn, sellers
     return ExperimentResult(summarize_fn(reps, c_star), tuple(reps))
 
 
-def run_experiment(xcfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all replications and aggregate.
-
-    The optimal reserve is computed once up front. ``workers`` is
-    accepted for compatibility and has no effect.
-    """
+def run_experiment(xcfg: ExperimentConfig) -> ExperimentResult:
+    """Run all replications and aggregate; the optimal reserve is
+    computed once up front."""
     return experiment(xcfg, optimize_reserve, _run_block, summarize, xcfg.market.k)
 
 
 def sweep_cells(xcfg: ExperimentConfig) -> list[ExperimentConfig]:
     """Expand the cartesian sweep grid into per-cell configs. Raises
     ``ValueError`` unless the sweep maps ``SWEEP_KEYS`` to non-empty
-    lists whose every cell builds a valid market."""
+    lists whose every cell builds a valid single-buyer market."""
     sweep = xcfg.sweep
     if sweep is None:
         return [xcfg]
+    if not isinstance(xcfg.market, MarketConfig):
+        raise ValueError("a sweep needs a single-buyer market")
     if not isinstance(sweep, dict) or not set(sweep) <= set(SWEEP_KEYS):
         raise ValueError(f"sweep must map some of {SWEEP_KEYS} to lists, got {sweep!r}")
     keys = [k for k in SWEEP_KEYS if k in sweep]
@@ -298,6 +297,6 @@ def sweep_cells(xcfg: ExperimentConfig) -> list[ExperimentConfig]:
     return cells
 
 
-def run_sweep(xcfg: ExperimentConfig, workers: int = 1) -> list[tuple[MarketConfig, ExperimentResult]]:
-    """One experiment per sweep cell; ``workers`` has no effect."""
+def run_sweep(xcfg: ExperimentConfig) -> list[tuple[MarketConfig, ExperimentResult]]:
+    """One experiment per sweep cell."""
     return [(cell.market, run_experiment(cell)) for cell in sweep_cells(xcfg)]

@@ -179,6 +179,15 @@ class TestExpectedPayoff:
         with pytest.raises(InvalidProfile, match="seller index"):
             expected_apo_payoff(k, p, (60.0, 120.0, 90.0, 80.0), 80.0, market_k4)
 
+    @pytest.mark.parametrize("bids", [(None,) * 3, (None,) * 5, (60.0, 80.0, None)])
+    def test_rejects_a_profile_that_does_not_fit_the_market(self, market_k4, bids):
+        """Three abstaining bids in a four-seller market used to give a
+        type of 64 the keep-fraction (3 + 0.3)/4, 52.8, while ``resolve``
+        draws the competition channel over three: (2 + 0.3)/3 x 64."""
+        p = BidProfile.of(bids)
+        with pytest.raises(InvalidProfile, match="does not fit 4 sellers"):
+            expected_apo_payoff(0, p, (64.0,) * len(bids), 80.0, market_k4)
+
     @given(
         bids=st.lists(st.sampled_from([None, 40.0, 55.0, 60.0, 80.0, 300.0]), min_size=2, max_size=5),
         c=st.sampled_from([55.0, 80.0, 100.0]),

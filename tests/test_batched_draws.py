@@ -88,11 +88,10 @@ def assert_tail_positions(records, dist, c):
     assert (picked < len(records)) == (c == 48.0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("dist, c", CASES, ids=CASE_IDS)
-def test_single_buyer_records_match_sequential_draws(dist, c, workers):
+def test_single_buyer_records_match_sequential_draws(dist, c):
     cfg = MarketConfig(4, dist, 0.3, 0.4, 95.0)
-    result = run_experiment(ExperimentConfig(cfg, REPS, SEED, reserve=c), workers)
+    result = run_experiment(ExperimentConfig(cfg, REPS, SEED, reserve=c))
     expected = []
     for rep in range(REPS):
         fields, _ = sequential_fields(
@@ -104,11 +103,10 @@ def test_single_buyer_records_match_sequential_draws(dist, c, workers):
     assert_tail_positions(result.replications, dist, c)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("dist, c", CASES, ids=CASE_IDS)
-def test_multi_buyer_records_match_sequential_draws(dist, c, workers):
+def test_multi_buyer_records_match_sequential_draws(dist, c):
     cfg = MultiMarketConfig(2, 3, dist, 0.3, 0.4, 0.5, 200.0)
-    result = run_experiment_multi(ExperimentConfig(cfg, REPS, SEED, reserve=c), workers)
+    result = run_experiment_multi(ExperimentConfig(cfg, REPS, SEED, reserve=c))
     expected = []
     for rep in range(REPS):
         fields, outcome = sequential_fields(
@@ -135,7 +133,7 @@ def test_one_inverse_cdf_call_per_experiment(monkeypatch, run, cfg):
         return inverse_cdf(self, p)
 
     monkeypatch.setattr(TypeDistribution, "inverse_cdf", counted)
-    run(ExperimentConfig(cfg, REPS, SEED, reserve=150.0), 1)
+    run(ExperimentConfig(cfg, REPS, SEED, reserve=150.0))
     sellers = cfg.k if isinstance(cfg, MarketConfig) else cfg.k_s + cfg.k_a
     assert calls == [(REPS, sellers)]
 

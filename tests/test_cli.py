@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from spectrum_auction.cli import fmt9, main
 from spectrum_auction.errors import NonUniqueThreshold
+from spectrum_auction.presets import preset
 
 
 def run_cli(capsys, *args):
@@ -230,6 +233,36 @@ class TestMultiCli:
         lines = out.strip().splitlines()
         assert lines[0] == "c,expected_payoff,se"
         assert len(lines) == 6
+
+
+# Every (action, flag) pair that ``multi-lte`` used to accept and ignore.
+IGNORED_MULTI_FLAGS = [
+    *(("optimize", flag) for flag in (
+        "--c-min", "--c-max", "--steps", "--replications", "--seed", "--reserve", "--workers",
+        "--summary")),
+    *(("payoff-curve", flag) for flag in (
+        "--replications", "--seed", "--reserve", "--workers", "--summary")),
+    *(("simulate", flag) for flag in ("--c-min", "--c-max", "--steps", "--samples")),
+]
+FLAG_VALUES = {"--c-min": "60", "--c-max": "150", "--steps": "3", "--replications": "2",
+               "--seed": "1", "--reserve": "140", "--workers": "1", "--samples": "4"}
+ACTION_FLAGS = {"optimize": ["--samples", "4"], "payoff-curve": ["--samples", "4"],
+                "simulate": ["--reserve", "140"]}
+
+
+@pytest.mark.parametrize("action, flag", IGNORED_MULTI_FLAGS,
+                         ids=[action + flag for action, flag in IGNORED_MULTI_FLAGS])
+def test_multi_action_refuses_a_flag_it_does_not_read(capsys, tmp_path, action, flag):
+    """Each pair used to run with the flag ignored and exit 0."""
+    config = {"multi_market": preset("fig12")["multi_market"], "c_min": 60.0,
+              "c_max": 150.0, "steps": 3, "replications": 2}
+    path = tmp_path / "multi.json"
+    path.write_text(json.dumps(config))
+    value = FLAG_VALUES.get(flag, str(tmp_path / "summary.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["multi-lte", action, "--config", str(path), *ACTION_FLAGS[action], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestFormatting:

@@ -67,6 +67,20 @@ class TestSweepBlock:
         path = write_config(tmp_path, simulate_config(sweep=sweep))
         assert_config_error(*run_cli(capsys, "simulate", "--config", path)[::2])
 
+    def test_library_rejects_a_sweep_over_a_multi_market(self):
+        """A multi-buyer sweep used to build; ``run_experiment_multi``
+        then ran the base market only and ``run_sweep`` raised
+        ``AttributeError``."""
+        market = MultiMarketConfig(2, 2, TN, 0.3, 0.4, 0.5, 370.0)
+        with pytest.raises(ValueError, match="single-buyer market"):
+            ExperimentConfig(market, sweep={"r_lte": [100.0, 370.0]})
+
+    def test_multi_cli_exits_2_on_a_sweep(self, capsys, tmp_path):
+        """``multi-lte simulate`` used to ignore the block and run one cell."""
+        path = write_config(tmp_path, multi_config(sweep={"r_lte": [100, 370]}))
+        assert_config_error(*run_cli(capsys, "multi-lte", "simulate", "--config", path,
+                                     "--reserve", "140")[::2])
+
     def test_valid_sweep_still_expands(self, capsys, tmp_path):
         path = write_config(tmp_path, simulate_config(sweep={"r_lte": [95, 150]}))
         code, out, _ = run_cli(capsys, "simulate", "--config", path)
@@ -146,24 +160,6 @@ class TestWorkerCount:
         path = write_config(tmp_path, multi_config(), "multi.json")
         assert_config_error(*run_cli(capsys, "multi-lte", "simulate", "--config", path,
                                      "--reserve", "140", "--workers", value)[::2])
-
-    @pytest.mark.parametrize("value", ["abc", "0", "1.5", ""])
-    def test_bad_worker_environment_exits_2(self, capsys, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("SPECTRUM_AUCTION_WORKERS", value)
-        path = write_config(tmp_path, simulate_config())
-        assert_config_error(*run_cli(capsys, "simulate", "--config", path)[::2])
-
-    def test_flag_overrides_bad_environment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECTRUM_AUCTION_WORKERS", "abc")
-        path = write_config(tmp_path, simulate_config())
-        code, _, _ = run_cli(capsys, "simulate", "--config", path, "--workers", "1")
-        assert code == 0
-
-    def test_environment_sets_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECTRUM_AUCTION_WORKERS", "2")
-        path = write_config(tmp_path, simulate_config())
-        code, _, _ = run_cli(capsys, "simulate", "--config", path)
-        assert code == 0
 
 
 # Values that are never a valid count: bools, fractions, non-finite

@@ -126,12 +126,14 @@ def test_cli_infinite_r_lte_exits_2(capsys, tmp_path, command):
     assert_config_error(*run_cli(capsys, command, "--config", path))
 
 
-@pytest.mark.parametrize("command", ["optimize", "simulate"])
-def test_cli_infinite_multi_r_lte_exits_2(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, flags", [
+    ("optimize", ("--samples", "4")),
+    ("simulate", ("--reserve", "140")),
+], ids=["optimize", "simulate"])
+def test_cli_infinite_multi_r_lte_exits_2(capsys, tmp_path, command, flags):
     market = dict(preset("fig12")["multi_market"], r_lte=math.inf)
     path = write_config(tmp_path, {"multi_market": market, "replications": 2})
-    assert_config_error(*run_cli(capsys, "multi-lte", command, "--config", path,
-                                 "--samples", "4", "--reserve", "140"))
+    assert_config_error(*run_cli(capsys, "multi-lte", command, "--config", path, *flags))
 
 
 @pytest.mark.parametrize("key, value", [

@@ -115,13 +115,6 @@ class TestRunExperiment:
         assert a.summary == b.summary
         assert a.replications == b.replications
 
-    def test_parallel_serial_equivalence(self, market_k4):
-        xcfg = ExperimentConfig(market_k4, replications=120, master_seed=9)
-        serial = run_experiment(xcfg, workers=1)
-        parallel = run_experiment(xcfg, workers=3)
-        assert serial.summary == parallel.summary
-        assert serial.replications == parallel.replications
-
     def test_single_replication(self, market_k4):
         xcfg = ExperimentConfig(market_k4, replications=1, master_seed=0)
         result = run_experiment(xcfg)
