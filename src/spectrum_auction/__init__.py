@@ -6,7 +6,6 @@ from .auction import (
     AuctionOutcome,
     BidProfile,
     Mode,
-    PayoffVector,
     expected_apo_payoff,
     lte_payoff,
     realized_apo_payoffs,
@@ -27,7 +26,6 @@ from .equilibrium import (
     solve_strategy,
     solve_threshold_mid,
     solve_threshold_standard,
-    uniqueness_scan,
 )
 from .errors import (
     BracketingError,
@@ -60,7 +58,6 @@ from .provider import (
     expected_payment,
     expected_payoff,
     optimize_reserve,
-    payoff_curve,
 )
 from .rng import RngStream
 from .simulation import (

@@ -65,12 +65,6 @@ class AuctionOutcome:
     r_pay: float
 
 
-@dataclass(frozen=True)
-class PayoffVector:
-    lte: float
-    apo: tuple[float, ...]
-
-
 def _rank(values: np.ndarray, c: float) -> tuple[np.ndarray | None, float]:
     """The draw-free part of the auction rule on a bid array: refuse a
     numeric bid above the reserve ``c``, then return the sellers tied
@@ -170,16 +164,6 @@ def realized_apo_payoffs(
     else:
         payoffs[outcome.channel] *= cfg.eta_apo
     return payoffs
-
-
-def payoff_vector(
-    outcome: AuctionOutcome, types: Sequence[float], cfg: MarketConfig
-) -> PayoffVector:
-    """Buyer and per-seller rates for one resolved auction."""
-    return PayoffVector(
-        lte=lte_payoff(outcome, cfg),
-        apo=tuple(float(x) for x in realized_apo_payoffs(outcome, types, cfg)),
-    )
 
 
 def expected_apo_payoff(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import multi_lte, oracle, provider, simulation
 from .distributions import TypeDistribution
-from .equilibrium import MarketConfig, RegimeKind, solve_strategy
+from .equilibrium import MarketConfig, RegimeKind, require_reserve, solve_strategy
 from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
 from .multi_lte import MultiMarketConfig
 from .numerics import is_number
@@ -160,18 +160,11 @@ def parse_multi_market(cfg: dict) -> MultiMarketConfig:
 # ---------------------------------------------------------------------------
 
 
-def _checked_reserve(value, name: str) -> float:
-    """A reserve rate from a flag or the config: a finite number >= 0."""
-    c = _number(value, name)
-    _require(math.isfinite(c) and c >= 0.0, f"{name} must be finite and >= 0, got {value!r}")
-    return c
-
-
 def _reserve_arg(args, cfg: dict) -> float:
     """The reserve ``c``: the flag when given, else the config value."""
     c = args.c if args.c is not None else cfg.get("c")
     _require(c is not None, f"{args.command} needs --c or a 'c' config key")
-    return _checked_reserve(c, "c")
+    return _built(require_reserve, "c", c)
 
 
 def cmd_equilibrium(args) -> int:
@@ -203,7 +196,7 @@ def _curve_grid(cfg: dict, args) -> np.ndarray:
     c_max = args.c_max if args.c_max is not None else cfg.get("c_max")
     steps = args.steps if args.steps is not None else cfg.get("steps", 100)
     _require(c_min is not None and c_max is not None, "payoff-curve needs --c-min and --c-max")
-    c_min, c_max = _checked_reserve(c_min, "c_min"), _checked_reserve(c_max, "c_max")
+    c_min, c_max = _built(require_reserve, "c_min", c_min), _built(require_reserve, "c_max", c_max)
     _require(c_min < c_max, "need c_min < c_max")
     steps = _integer(steps, "steps")
     _require(steps >= 2, "need steps >= 2")

@@ -280,13 +280,6 @@ class TypeDistribution:
         """``n`` draws; consumes ``n`` uniforms in sequence order."""
         return np.asarray(self.inverse_cdf(rng.uniforms(n)), dtype=float)
 
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "r_min": self.r_min, "r_max": self.r_max}
-        if self.kind == TRUNCATED_NORMAL:
-            cfg["mu"] = self.mu
-            cfg["sigma"] = self.sigma
-        return cfg
-
     @classmethod
     def from_config(cls, cfg: dict) -> "TypeDistribution":
         """Build from a JSON fragment; unknown keys are rejected and the

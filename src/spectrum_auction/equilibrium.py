@@ -31,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,6 +70,24 @@ def require_law(dist) -> None:
     """Raise ``ValueError`` unless ``dist`` is a :class:`TypeDistribution`."""
     if not isinstance(dist, TypeDistribution):
         raise ValueError(f"dist must be a TypeDistribution, got {dist!r}")
+
+
+def require_type(dist: TypeDistribution, r: float) -> None:
+    """Raise ``ValueError`` unless the seller type ``r`` lies on the
+    support of ``dist`` (NaN and the infinities do not)."""
+    if not dist.r_min <= r <= dist.r_max:
+        raise ValueError(f"type {r} outside support")
+
+
+def require_reserve(name: str, value) -> float:
+    """``value`` as a float if it is a reserve rate: a number by
+    :func:`numerics.is_number`, finite and >= 0. Raise ``ValueError``
+    otherwise."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -144,13 +162,14 @@ AnyMarket = MarketConfig | SellerMarket
 
 @dataclass(frozen=True)
 class Bid:
-    """A seller's action: a requested rate in Mbps, or abstention."""
+    """A seller's action: a requested rate in Mbps, or abstention. A
+    rate must be finite and >= 0."""
 
     rate: float | None
 
     def __post_init__(self):
-        if self.rate is not None and self.rate < 0.0:
-            raise ValueError("bid rates must be >= 0")
+        if self.rate is not None and not 0.0 <= self.rate < math.inf:
+            raise ValueError(f"bid rates must be finite and >= 0, got {self.rate!r}")
 
     @property
     def is_abstain(self) -> bool:
@@ -224,15 +243,6 @@ class EquilibriumStrategy:
         return types.copy()
 
 
-@dataclass(frozen=True)
-class RootScan:
-    """Result of the threshold-uniqueness scan: root count and the
-    bracketing intervals found on the grid."""
-
-    count: int
-    brackets: tuple[tuple[float, float], ...]
-
-
 def classify_regime(cfg: AnyMarket, c: float) -> ReserveRegime:
     """Regime containing reserve rate ``c``.
 
@@ -295,26 +305,6 @@ def threshold_residual_mid(cfg: AnyMarket, c: float, r):
     return _threshold_residual(cfg, c, r, 0.0)
 
 
-def _scan(residual, lo: float, hi: float, points: int) -> RootScan:
-    xs = np.linspace(lo, hi, points)
-    brackets = sign_change_brackets(xs, residual(xs))
-    return RootScan(count=len(brackets), brackets=tuple(brackets))
-
-
-def uniqueness_scan(cfg: MarketConfig, c: float, points: int = SCAN_POINTS) -> RootScan:
-    """Count roots of the regime's threshold equation on a dense grid.
-
-    Callers treat a count other than one as a refusal condition; this
-    function only reports.
-    """
-    regime = classify_regime(cfg, c)
-    if regime.kind is RegimeKind.STANDARD:
-        return _scan(partial(threshold_residual_standard, cfg, c), c, cfg.dist.r_max, points)
-    if regime.kind is RegimeKind.MID:
-        return _scan(partial(threshold_residual_mid, cfg, c), cfg.dist.r_min, cfg.dist.r_max, points)
-    raise ValueError("threshold equations only apply to the mid and standard regimes")
-
-
 def _solve_threshold(cfg: AnyMarket, c: float, lo: float, f_floor: float) -> float:
     """Root of the threshold residual with floor ``f_floor`` on
     ``[lo, r_max]``: sign check, uniqueness scan, then bisection. The
@@ -331,12 +321,13 @@ def _solve_threshold(cfg: AnyMarket, c: float, lo: float, f_floor: float) -> flo
             f"threshold residual endpoints not (+, -) on [{lo:.6g}, {r_max:.6g}]: "
             f"({y_lo:.3g}, {y_hi:.3g})"
         )
-    scan = _scan(residual, lo, r_max, SCAN_POINTS)
-    if scan.count != 1:
+    xs = np.linspace(lo, r_max, SCAN_POINTS)
+    brackets = sign_change_brackets(xs, residual(xs))
+    if len(brackets) != 1:
         raise NonUniqueThreshold(
-            f"threshold equation has {scan.count} roots at c={c:.6g}; refusing"
+            f"threshold equation has {len(brackets)} roots at c={c:.6g}; refusing"
         )
-    b_lo, b_hi = scan.brackets[0]
+    (b_lo, b_hi), = brackets
     if b_lo == b_hi:
         return b_lo
     return bisect_root(
@@ -395,8 +386,7 @@ def bid(cfg: MarketConfig, c: float, r: float) -> Bid:
     type bids itself, a type exactly at a threshold bids the reserve,
     and the highest type bids truthfully in the high regime.
     """
-    if not cfg.dist.r_min <= r <= cfg.dist.r_max:
-        raise ValueError(f"type {r} outside support")
+    require_type(cfg.dist, r)
     return solve_strategy(cfg.sellers, c).bid(r)
 
 

@@ -31,6 +31,7 @@ from .equilibrium import (
     bid as single_bid,
     require_count,
     require_numbers,
+    require_type,
 )
 from .errors import InfeasibleBid, InvalidProfile
 from .provider import OptimalReserve, _search_reserve
@@ -88,15 +89,11 @@ class MultiMarketConfig:
 
 
 @dataclass(frozen=True)
-class VirtualBid:
-    """Normalized bid with the population it came from."""
+class VirtualBid(Bid):
+    """Normalized bid with the population it came from; its rate
+    follows the :class:`Bid` rule."""
 
-    rate: float | None
     origin: Origin
-
-    @property
-    def is_abstain(self) -> bool:
-        return self.rate is None
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,8 @@ def shared_participation_cutoff(cfg: MultiMarketConfig, c: float) -> float:
 
 def bid_shared(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
     """Equilibrium virtual bid of a shared seller (see
-    :func:`bid_values_shared`)."""
+    :func:`bid_values_shared`). The type must lie on the support."""
+    require_type(cfg.dist, r)
     v = float(bid_values_shared(cfg, c, r))
     return VirtualBid(None if math.isinf(v) else v, Origin.SHARED)
 

@@ -54,16 +54,6 @@ class OptimalReserve:
     interval: tuple[float, float] | None = None
 
 
-def others_min_cdf(cfg: MarketConfig, r):
-    """CDF of the lowest type among k-1 rival sellers."""
-    return 1.0 - (1.0 - cfg.dist.cdf(r)) ** (cfg.k - 1)
-
-
-def others_min_pdf(cfg: MarketConfig, r):
-    """Density of the lowest type among k-1 rival sellers."""
-    return (cfg.k - 1) * cfg.dist.pdf(r) * (1.0 - cfg.dist.cdf(r)) ** (cfg.k - 2)
-
-
 def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:
     """k(k-1) * integral of r f(r) F(r) (1-F(r))^(k-2) from r_min to hi."""
     dist = cfg.dist
@@ -129,10 +119,6 @@ def expected_payment(cfg: MarketConfig, c: float) -> float:
 def expected_payoff(cfg: MarketConfig, c: float) -> float:
     """Buyer's expected payoff under equilibrium bidding at reserve ``c``."""
     return curve_point(cfg, c).expected_payoff
-
-
-def payoff_curve(cfg: MarketConfig, c_values) -> list[PayoffCurvePoint]:
-    return [curve_point(cfg, float(c)) for c in c_values]
 
 
 def capacity_threshold(cfg: MarketConfig) -> float:

@@ -56,16 +56,6 @@ class RngStream:
         """Uniform index in {0, ..., n-1}; consumes exactly one draw."""
         return pick_index(self.uniform(), n)
 
-    def reset(self) -> None:
-        """Rewind the stream to its initial state."""
-        self._gen = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(
-                    self.master_seed, spawn_key=(self.stream_index,)
-                )
-            )
-        )
-
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 

@@ -15,14 +15,12 @@ replication runs in the calling process, in index order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .auction import Mode, _resolve_values, lte_payoff, realized_apo_payoffs
-from .equilibrium import MarketConfig, bid_values, require_count
-from .numerics import is_number
+from .equilibrium import MarketConfig, bid_values, require_count, require_reserve
 from .provider import optimize_reserve
 from .rng import _U64_MAX, DrawReplay, RngStream
 
@@ -50,10 +48,7 @@ class ExperimentConfig:
         if self.master_seed > _U64_MAX:
             raise ValueError(f"master_seed must be at most 2**64 - 1, got {self.master_seed!r}")
         if self.reserve is not None:
-            if not is_number(self.reserve):
-                raise ValueError(f"reserve must be a number, got {self.reserve!r}")
-            if not 0.0 <= self.reserve < math.inf:
-                raise ValueError(f"reserve must be finite and >= 0, got {self.reserve!r}")
+            require_reserve("reserve", self.reserve)
         if self.sweep is not None:
             sweep_cells(self)
 

@@ -121,15 +121,6 @@ class TestRealizedPayoffs:
         apo = realized_apo_payoffs(out, (60.0, 70.0, 64.0, 90.0), market_k4)
         assert lte_payoff(out, market_k4) + apo[2] == market_k4.r_lte
 
-    def test_payoff_vector_combines_both_sides(self, market_k4):
-        from spectrum_auction.auction import payoff_vector
-
-        out = AuctionOutcome(Mode.COOPERATION, 1, 1, 55.0)
-        vec = payoff_vector(out, (64.0, 64.0, 64.0, 64.0), market_k4)
-        assert vec.lte == 40.0
-        assert vec.apo == (64.0, 55.0, 64.0, 64.0)
-        assert vec.lte + vec.apo[1] == market_k4.r_lte
-
 
 class TestExpectedPayoff:
     def test_four_way_tie_worked_example(self, market_k4):

@@ -17,7 +17,6 @@ from spectrum_auction import (
     solve_strategy,
     solve_threshold_mid,
     solve_threshold_standard,
-    uniqueness_scan,
 )
 from spectrum_auction.equilibrium import (
     threshold_residual_mid,
@@ -189,23 +188,27 @@ class TestThresholdSolvers:
 
 
 class TestUniquenessScan:
+    """A solve raises NonUniqueThreshold unless its scan finds exactly
+    one root, so a solve that returns a root on the regime's interval
+    has passed the uniqueness scan."""
+
     def test_uniform_k2_standard(self, market_uniform_k2):
-        assert uniqueness_scan(market_uniform_k2, 100.0).count == 1
+        assert 100.0 < solve_threshold_standard(market_uniform_k2, 100.0) < 200.0
 
     def test_truncnormal_k5_standard(self, trunc_normal):
         cfg = MarketConfig(5, trunc_normal, 0.3, 0.4, 95.0)
-        assert uniqueness_scan(cfg, 70.0).count == 1
+        assert 70.0 < solve_threshold_standard(cfg, 70.0) < 200.0
 
     def test_truncnormal_k5_mid(self, trunc_normal):
         cfg = MarketConfig(5, trunc_normal, 0.3, 0.4, 95.0)
         # L = (4.3/5)*50 = 43 < 46 < 50
-        assert uniqueness_scan(cfg, 46.0).count == 1
+        assert 50.0 < solve_threshold_mid(cfg, 46.0) < 200.0
 
     def test_reports_bracket(self, market_k4):
-        scan = uniqueness_scan(market_k4, 55.0)
-        (lo, hi), = scan.brackets
+        # the residual changes sign across the returned root
         r_t = solve_threshold_standard(market_k4, 55.0)
-        assert lo <= r_t <= hi
+        assert threshold_residual_standard(market_k4, 55.0, r_t - 1e-6) > 0.0
+        assert threshold_residual_standard(market_k4, 55.0, r_t + 1e-6) < 0.0
 
 
 class TestBiddingStrategy:

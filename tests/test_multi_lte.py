@@ -101,7 +101,7 @@ class TestSharedBidding:
         # cutoff (140-100)/0.3 = 133.33
         assert shared_participation_cutoff(multi_market, 140.0) == pytest.approx(133.333333, abs=1e-5)
         got = bid_shared(multi_market, 140.0, 100.0)
-        assert got == VirtualBid(pytest.approx(130.0, rel=1e-12), Origin.SHARED)
+        assert got.origin is Origin.SHARED and got.rate == pytest.approx(130.0, rel=1e-12)
 
     def test_above_cutoff_abstains(self, multi_market):
         assert bid_shared(multi_market, 140.0, 150.0).is_abstain

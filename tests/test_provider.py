@@ -8,7 +8,6 @@ from spectrum_auction import (
     expected_payment,
     expected_payoff,
     optimize_reserve,
-    payoff_curve,
     solve_threshold_standard,
 )
 from spectrum_auction.numerics import has_interior_dip
@@ -17,7 +16,7 @@ from spectrum_auction.oracle import (
     payments_for_types,
     sample_type_matrix,
 )
-from spectrum_auction.provider import capacity_threshold, others_min_cdf, others_min_pdf
+from spectrum_auction.provider import capacity_threshold, curve_point
 from spectrum_auction.rng import RngStream
 
 
@@ -46,18 +45,6 @@ class TestExpectedPayment:
         draws = payments_for_types(market_uniform_k2, c, pool)
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(expected_payment(market_uniform_k2, c) - draws.mean()) < 3 * se
-
-    def test_min_of_others_distribution(self, market_k4):
-        grid = np.linspace(50, 200, 7)
-        f = market_k4.dist.cdf(grid)
-        assert others_min_cdf(market_k4, grid) == pytest.approx(1 - (1 - f) ** 3)
-        # density integrates the cdf
-        from spectrum_auction.numerics import composite_simpson
-
-        total = composite_simpson(
-            lambda r: others_min_pdf(market_k4, r), 50.0, 200.0, 2048
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
 
 
 class TestExpectedPayoff:
@@ -126,7 +113,7 @@ class TestOptimizeReserve:
         assert cfg.low_regime_cap < opt.c_star <= 150.0
 
     def test_payoff_curve_points(self, market_k4):
-        points = payoff_curve(market_k4, [30.0, 45.0, 55.0, 250.0])
+        points = [curve_point(market_k4, c) for c in (30.0, 45.0, 55.0, 250.0)]
         kinds = [p.regime.kind for p in points]
         assert kinds == [
             RegimeKind.LOW,

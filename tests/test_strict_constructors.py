@@ -74,9 +74,10 @@ def test_numbers_still_build():
     assert TypeDistribution.uniform(50, 200) == TypeDistribution("uniform", 50.0, 200.0)
     assert TypeDistribution.uniform(50, 200).r_min == 50.0
     assert TypeDistribution("uniform", 50, 200).r_max == 200
-    assert TypeDistribution.truncated_normal(125, 50, 50, 200).to_config() == {
-        "kind": "truncated_normal", "r_min": 50.0, "r_max": 200.0, "mu": 125.0, "sigma": 50.0,
-    }
+    tn = TypeDistribution.truncated_normal(125, 50, 50, 200)
+    assert tn.kind == "truncated_normal"
+    assert (tn.r_min, tn.r_max, tn.mu, tn.sigma) == (50.0, 200.0, 125.0, 50.0)
+    assert all(type(v) is float for v in (tn.r_min, tn.r_max, tn.mu, tn.sigma))
     assert TypeDistribution("uniform", 50.0, 200.0, None, None).mu is None
 
 
