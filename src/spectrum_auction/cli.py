@@ -1,6 +1,13 @@
 """Command-line interface: config ingestion, subcommand dispatch, and
 bit-stable CSV/JSON emission.
 
+The CLI owns the JSON shape and the exit codes, and no value rule:
+``_parse_block`` reads the ``market``, ``multi_market`` and ``dist``
+blocks by the fields of the class each one builds, the engine's
+constructors and ``require_*`` functions check the values, and a value
+they refuse is a config error. ``load_config`` sets each given flag
+over its config key.
+
 Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold
 or failed certification; a payoff curve that fails the unimodality
 guard falls back to a grid search instead). Errors print one
@@ -16,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from enum import Enum
 
 import numpy as np
@@ -26,7 +33,7 @@ from .distributions import TypeDistribution
 from .equilibrium import MarketConfig, RegimeKind, require_reserve, solve_strategy
 from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
 from .multi_lte import MultiMarketConfig
-from .numerics import is_number
+from .numerics import is_finite, is_number
 from .presets import PRESETS, preset
 from .rng import RngStream
 from .simulation import ExperimentConfig
@@ -89,13 +96,17 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A real value from a flag or a config: an int or a float; bools,
-    text and other values are config errors."""
+    """A real value from a flag or a config: an int or a float, stored
+    as a float; bools, text and other values are config errors. An int
+    too large for a float stays an int, which the engine's finiteness
+    rule refuses."""
     _require(is_number(value), f"{name} must be a number, got {value!r}")
-    return float(value)
+    return float(value) if is_finite(value) else value
 
 
 def load_config(args) -> dict:
+    """The run config, with every flag that is given set over its key:
+    a flag beats the config, which beats each command's default."""
     if getattr(args, "preset", None):
         try:
             cfg = preset(args.preset)
@@ -111,14 +122,19 @@ def load_config(args) -> dict:
     _require(isinstance(cfg, dict), "config root must be an object")
     unknown = set(cfg) - _TOP_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    for key in _TOP_KEYS:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
-def _parse_block(block: dict, keys: set[str], label: str) -> dict:
+def _parse_block(block, cls, label: str) -> dict:
+    """The ``label`` block, an object whose keys are fields of ``cls``
+    and which holds every field that has no default."""
     _require(isinstance(block, dict), f"{label} must be an object")
-    unknown = set(block) - keys
+    unknown = set(block) - {f.name for f in fields(cls)}
     _require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
-    missing = keys - set(block)
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(block)
     _require(not missing, f"missing {label} keys: {sorted(missing)}")
     return block
 
@@ -133,18 +149,18 @@ def _built(make, *args, **kwargs):
 
 
 def _parse_market_block(cfg: dict, label: str, cls):
-    """Build ``cls`` from the ``label`` block, whose keys are the fields
-    of ``cls``: seller counts are ints, ``dist`` a type law read by
-    ``TypeDistribution.from_config`` (which applies the same number
-    rule), every other key a number."""
+    """Build ``cls`` from the ``label`` block: ``int`` fields are counts,
+    ``dist`` a ``TypeDistribution`` block (whose values the type law
+    checks itself), every other field a number."""
     _require(label in cfg, f"config needs a '{label}' block")
-    block = _parse_block(cfg[label], {f.name for f in fields(cls)}, label)
+    block = _parse_block(cfg[label], cls, label)
     values = {
-        key: _integer(v, key) if key.startswith("k") else _number(v, key)
-        for key, v in block.items()
-        if key != "dist"
+        f.name: (_integer if f.type == "int" else _number)(block[f.name], f.name)
+        for f in fields(cls)
+        if f.name != "dist"
     }
-    return _built(cls, dist=_built(TypeDistribution.from_config, block["dist"]), **values)
+    dist = _built(TypeDistribution, **_parse_block(block["dist"], TypeDistribution, "dist"))
+    return _built(cls, dist=dist, **values)
 
 
 def parse_market(cfg: dict) -> MarketConfig:
@@ -161,8 +177,8 @@ def parse_multi_market(cfg: dict) -> MultiMarketConfig:
 
 
 def _reserve_arg(args, cfg: dict) -> float:
-    """The reserve ``c``: the flag when given, else the config value."""
-    c = args.c if args.c is not None else cfg.get("c")
+    """The reserve ``c``, from ``--c`` or the config."""
+    c = cfg.get("c")
     _require(c is not None, f"{args.command} needs --c or a 'c' config key")
     return _built(require_reserve, "c", c)
 
@@ -191,14 +207,12 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
-def _curve_grid(cfg: dict, args) -> np.ndarray:
-    c_min = args.c_min if args.c_min is not None else cfg.get("c_min")
-    c_max = args.c_max if args.c_max is not None else cfg.get("c_max")
-    steps = args.steps if args.steps is not None else cfg.get("steps", 100)
+def _curve_grid(cfg: dict) -> np.ndarray:
+    c_min, c_max = cfg.get("c_min"), cfg.get("c_max")
     _require(c_min is not None and c_max is not None, "payoff-curve needs --c-min and --c-max")
     c_min, c_max = _built(require_reserve, "c_min", c_min), _built(require_reserve, "c_max", c_max)
     _require(c_min < c_max, "need c_min < c_max")
-    steps = _integer(steps, "steps")
+    steps = _integer(cfg.get("steps", 100), "steps")
     _require(steps >= 2, "need steps >= 2")
     return np.linspace(c_min, c_max, steps)
 
@@ -212,7 +226,7 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
 def cmd_payoff_curve(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    grid = _curve_grid(cfg, args)
+    grid = _curve_grid(cfg)
     rows = []
     for c in grid:
         point = provider.curve_point(market, float(c))
@@ -231,30 +245,18 @@ def cmd_payoff_curve(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
-    _emit_json(_reserve_dict(provider.optimize_reserve(market)), args.output)
+    _emit_json(asdict(provider.optimize_reserve(market)), args.output)
     return 0
 
 
-def _reserve_dict(opt) -> dict:
-    return {
-        "c_star": opt.c_star,
-        "expected_payoff": opt.expected_payoff,
-        "case": opt.case,
-        "interval": list(opt.interval) if opt.interval else None,
-    }
-
-
 def _experiment_config(args, cfg: dict, market, **kwargs) -> ExperimentConfig:
-    """Either simulate command's config. Replications and seed come from
-    the flag, else the config, else the default; the config checks them.
-    ``--workers`` has no effect on the run but must be >= 1."""
-    reps = args.replications if args.replications is not None else cfg.get("replications", 5000)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    """Either simulate command's config; the config checks replications
+    and seed. ``--workers`` has no effect on the run but must be >= 1."""
     xcfg = _built(
         ExperimentConfig,
         market,
-        replications=_integer(reps, "replications"),
-        master_seed=_integer(seed, "seed"),
+        replications=_integer(cfg.get("replications", 5000), "replications"),
+        master_seed=_integer(cfg.get("seed", 0), "seed"),
         sweep=cfg.get("sweep"),
         **kwargs,
     )
@@ -328,12 +330,7 @@ def cmd_simulate(args) -> int:
         result = simulation.run_experiment(cell)
         summaries.append(
             {
-                "params": {
-                    "k": cell.market.k,
-                    "eta_apo": cell.market.eta_apo,
-                    "delta_lte": cell.market.delta_lte,
-                    "r_lte": cell.market.r_lte,
-                },
+                "params": {key: getattr(cell.market, key) for key in simulation.SWEEP_KEYS},
                 "summary": asdict(result.summary),
             }
         )
@@ -349,10 +346,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
     c = _reserve_arg(args, cfg)
-    _require(
-        args.samples >= 2 and args.type_grid >= 1 and args.bid_grid >= 1,
-        "verify needs --samples >= 2, --type-grid >= 1 and --bid-grid >= 1",
-    )
+    _built(oracle.require_grids, args.samples, args.type_grid, args.bid_grid)
     report = oracle.best_response_check(
         market,
         c,
@@ -367,23 +361,19 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _require_multi_samples(n: int) -> None:
-    _require(n >= 4 and n % 2 == 0, f"--samples must be an even number >= 4, got {n}")
-
-
 def cmd_multi_optimize(args) -> int:
     market = parse_multi_market(load_config(args))
-    _require_multi_samples(args.samples)
-    _emit_json(_reserve_dict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
+    _built(multi_lte.require_samples, args.samples)
+    _emit_json(asdict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
     return 0
 
 
 def cmd_multi_payoff_curve(args) -> int:
     cfg = load_config(args)
     market = parse_multi_market(cfg)
-    _require_multi_samples(args.samples)
+    _built(multi_lte.require_samples, args.samples)
     rows = []
-    for c in _curve_grid(cfg, args):
+    for c in _curve_grid(cfg):
         mean, se = multi_lte.expected_payoff_multi(market, float(c), n=args.samples)
         rows.append((fmt9(float(c)), fmt9(mean), fmt9(se)))
     _write_rows(args.output, ["c", "expected_payoff", "se"], rows)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidDistribution
-from .numerics import is_number
+from .numerics import is_finite, is_number
 from .rng import RngStream
 
 UNIFORM = "uniform"
@@ -80,7 +80,7 @@ class TypeDistribution:
                 continue
             if not is_number(v):
                 raise InvalidDistribution(f"distribution {name} must be a number, got {v!r}")
-            if not math.isfinite(v):
+            if not is_finite(v):
                 raise InvalidDistribution(f"distribution {name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
         if not (0.0 <= self.r_min < self.r_max):
@@ -279,18 +279,3 @@ class TypeDistribution:
     def sample_n(self, rng: RngStream, n: int) -> np.ndarray:
         """``n`` draws; consumes ``n`` uniforms in sequence order."""
         return np.asarray(self.inverse_cdf(rng.uniforms(n)), dtype=float)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "TypeDistribution":
-        """Build from a JSON fragment; unknown keys are rejected and the
-        values are checked by the constructor."""
-        if not isinstance(cfg, dict):
-            raise InvalidDistribution("distribution config must be an object")
-        allowed = {"kind", "r_min", "r_max", "mu", "sigma"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise InvalidDistribution(f"unknown distribution keys: {sorted(unknown)}")
-        for key in ("kind", "r_min", "r_max"):
-            if key not in cfg:
-                raise InvalidDistribution(f"missing distribution key {key!r}")
-        return cls(**cfg)

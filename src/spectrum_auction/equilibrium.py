@@ -37,7 +37,7 @@ import numpy as np
 
 from .distributions import TypeDistribution
 from .errors import BracketingError, NonUniqueThreshold
-from .numerics import bisect_root, is_number, sign_change_brackets
+from .numerics import bisect_root, is_finite, is_number, sign_change_brackets
 
 # Grid density of the root-existence scan used both for bracketing and
 # for the uniqueness check.
@@ -85,7 +85,7 @@ def require_reserve(name: str, value) -> float:
     otherwise."""
     if not is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not 0.0 <= value < math.inf:
+    if not (value >= 0.0 and is_finite(value)):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
 
@@ -139,7 +139,7 @@ class MarketConfig:
         require_numbers(self, "delta_lte", "r_lte")
         if not 0.0 < self.delta_lte < 1.0:
             raise ValueError("delta_lte must lie in (0, 1)")
-        if not 0.0 < self.r_lte < math.inf:
+        if not (self.r_lte > 0.0 and is_finite(self.r_lte)):
             raise ValueError("r_lte must be positive and finite")
 
     @cached_property

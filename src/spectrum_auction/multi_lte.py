@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class MultiMarketConfig:
     def __post_init__(self):
         require_count("k_s", self.k_s, 2)
         require_count("k_a", self.k_a, 2)
-        self.alone_market()  # checks dist, eta_apo, delta_lte and r_lte
+        self.alone_market  # builds it, which checks dist, eta_apo, delta_lte and r_lte
         require_numbers(self, "theta_lte")
         if not 0.0 < self.theta_lte < 1.0:
             raise ValueError("theta_lte must lie in (0, 1)")
@@ -76,6 +76,7 @@ class MultiMarketConfig:
         added to shared sellers' bids during normalization."""
         return (1.0 - self.theta_lte) * self.r_lte
 
+    @cached_property
     def alone_market(self) -> MarketConfig:
         """Single-buyer market over the alone sellers only; their
         equilibrium is the single-buyer one with k = k_a."""
@@ -133,7 +134,7 @@ def bid_shared(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
 def bid_alone(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
     """Equilibrium virtual bid of an alone seller: the single-buyer
     equilibrium over the k_a alone sellers."""
-    b = single_bid(cfg.alone_market(), c, r)
+    b = single_bid(cfg.alone_market, c, r)
     return VirtualBid(b.rate, Origin.ALONE)
 
 
@@ -147,7 +148,7 @@ def bid_values_shared(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np
 
 
 def bid_values_alone(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
-    return bid_values(cfg.alone_market(), c, types)
+    return bid_values(cfg.alone_market, c, types)
 
 
 def bid_values_virtual(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
@@ -223,11 +224,12 @@ def apo_payoffs_multi(
 # ---------------------------------------------------------------------------
 
 
-def _check_samples(n: int) -> None:
-    """The antithetic estimator pairs rows and needs two pairs for a
-    standard error."""
+def require_samples(n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` is an even number >= 4: the
+    antithetic estimator pairs rows and needs two pairs for a standard
+    error."""
     if n < 4 or n % 2:
-        raise ValueError(f"n must be an even number >= 4, got {n}")
+        raise ValueError(f"samples must be an even number >= 4, got {n}")
 
 
 @lru_cache(maxsize=8)
@@ -299,7 +301,7 @@ def expected_payoff_multi(
     ``min(c, q)`` with ``q`` priced once per pool (see
     :func:`_row_values`). The estimate is bit-identical to one over the
     full type matrix."""
-    _check_samples(n)
+    require_samples(n)
     vs1, q, a1 = _row_values(cfg, n, seed)
     coop = np.isfinite(bid_values_alone(cfg, c, a1))
     coop |= vs1 <= c
@@ -317,7 +319,7 @@ def feasible_reserve_bounds(cfg: MultiMarketConfig) -> tuple[float, float]:
     seller abstains; above the upper bound either the capacity
     constraint binds or every bid function has saturated, so the payoff
     is constant."""
-    alone_floor = cfg.alone_market().low_regime_cap
+    alone_floor = cfg.alone_market.low_regime_cap
     shared_floor = cfg.shared_offset + cfg.eta_apo * cfg.dist.r_min
     lo = min(alone_floor, shared_floor)
     saturation = max(cfg.dist.r_max, cfg.shared_offset + cfg.eta_apo * cfg.dist.r_max)
@@ -339,7 +341,7 @@ def optimize_reserve_multi(
     A final local grid polish sharpens the golden section bracket
     against residual Monte Carlo jitter.
     """
-    _check_samples(n)
+    require_samples(n)
     lo, hi = feasible_reserve_bounds(cfg)
     baseline = cfg.delta_lte * cfg.r_lte
     if hi <= lo:

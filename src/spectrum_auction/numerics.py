@@ -18,6 +18,15 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """True for a finite number; an int too large for a float is not
+    finite (``math.isfinite`` raises ``OverflowError`` on it)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def sign_change_brackets(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
     """Bracketing intervals for roots of a sampled continuous function.
 

@@ -226,6 +226,13 @@ def mutated_mid_always_cap(cfg: MarketConfig, c: float) -> Strategy:
     return strat
 
 
+def require_grids(samples: int, type_grid: int, bid_grid: int) -> None:
+    """Raise ``ValueError`` unless a certification has ``samples >= 2``
+    for a standard error and non-empty type and bid grids."""
+    if samples < 2 or type_grid < 1 or bid_grid < 1:
+        raise ValueError("need samples >= 2, type_grid >= 1 and bid_grid >= 1")
+
+
 def best_response_check(
     cfg: MarketConfig,
     c: float,
@@ -245,10 +252,9 @@ def best_response_check(
     numbers). Certification requires every estimated gain to stay
     within three pooled standard errors; the first violation raises
     CertificationFailed with the offending (type, deviation, gain).
-    Needs ``samples >= 2`` for a standard error and non-empty grids.
+    The counts must pass :func:`require_grids`.
     """
-    if samples < 2 or type_grid < 1 or bid_grid < 1:
-        raise ValueError("need samples >= 2, type_grid >= 1 and bid_grid >= 1")
+    require_grids(samples, type_grid, bid_grid)
     if rng is None:
         rng = RngStream(0, 0)
     strat = strategy if strategy is not None else equilibrium_strategy_map(cfg, c)

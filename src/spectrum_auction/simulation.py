@@ -264,7 +264,9 @@ def experiment(xcfg: ExperimentConfig, optimize, block_fn, summarize_fn, sellers
 
 def run_experiment(xcfg: ExperimentConfig) -> ExperimentResult:
     """Run all replications and aggregate; the optimal reserve is
-    computed once up front."""
+    computed once up front. A sweep runs through :func:`run_sweep`."""
+    if xcfg.sweep is not None:
+        raise ValueError("run_experiment runs one market; run a sweep with run_sweep")
     return experiment(xcfg, optimize_reserve, _run_block, summarize, xcfg.market.k)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spectrum_auction import ExperimentConfig, MarketConfig, MultiMarketConfig, TypeDistribution
 from spectrum_auction.cli import main
 from spectrum_auction.presets import preset
+from spectrum_auction.simulation import run_experiment, run_sweep
 
 TN = TypeDistribution.truncated_normal(125, 50, 50, 200)
 
@@ -74,6 +75,15 @@ class TestSweepBlock:
         market = MultiMarketConfig(2, 2, TN, 0.3, 0.4, 0.5, 370.0)
         with pytest.raises(ValueError, match="single-buyer market"):
             ExperimentConfig(market, sweep={"r_lte": [100.0, 370.0]})
+
+    def test_run_experiment_refuses_a_sweep(self, market_k4):
+        """``run_experiment`` used to ignore the sweep and run the base
+        market alone, at its own optimum."""
+        xcfg = ExperimentConfig(market_k4, replications=5, master_seed=1,
+                                sweep={"r_lte": [190.0, 370.0]})
+        with pytest.raises(ValueError, match="run_sweep"):
+            run_experiment(xcfg)
+        assert len(run_sweep(xcfg)) == 2
 
     def test_multi_cli_exits_2_on_a_sweep(self, capsys, tmp_path):
         """``multi-lte simulate`` used to ignore the block and run one cell."""

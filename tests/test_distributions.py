@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import InvalidDistribution, RngStream, TypeDistribution
+from spectrum_auction.cli import parse_market
+from spectrum_auction.errors import InvalidConfig
 from spectrum_auction.numerics import composite_simpson
 
 
@@ -45,10 +47,10 @@ class TestConstruction:
             TypeDistribution("lognormal", 50, 200)
 
     def test_config_rejects_unknown_keys(self):
-        with pytest.raises(InvalidDistribution):
-            TypeDistribution.from_config(
-                {"kind": "uniform", "r_min": 50, "r_max": 200, "median": 10}
-            )
+        dist = {"kind": "uniform", "r_min": 50, "r_max": 200, "median": 10}
+        market = {"k": 4, "eta_apo": 0.3, "delta_lte": 0.4, "r_lte": 95.0, "dist": dist}
+        with pytest.raises(InvalidConfig, match=r"unknown dist keys: \['median'\]"):
+            parse_market({"market": market})
 
 
 class TestPdfCdf:

@@ -3,17 +3,20 @@
 An infinite buyer throughput or type bound used to pass construction:
 ``"r_lte": Infinity`` made ``optimize`` report a null payoff with exit
 0, and an infinite ``r_max`` failed deep in the threshold solve with
-exit 3. Both now fail when the object is built (CLI exit 2).
-``TypeDistribution.from_config`` reads its values by the CLI's number
-rule: ints and floats only, so ``True`` or ``"0"`` no longer become
-``1.0`` or ``0.0``."""
+exit 3. Both now fail when the object is built (CLI exit 2). So does
+an int too large for a float, which used to exit 1 with an
+``OverflowError``. ``TypeDistribution``, which the CLI builds from a
+``dist`` block's keys, reads its values by the CLI's number rule: ints
+and floats only, so ``True`` or ``"0"`` no longer become ``1.0`` or
+``0.0``."""
 import json
 import math
 
 import pytest
 
-from spectrum_auction import MarketConfig, TypeDistribution
+from spectrum_auction import ExperimentConfig, MarketConfig, TypeDistribution
 from spectrum_auction.cli import _number, main
+from spectrum_auction.equilibrium import require_reserve
 from spectrum_auction.errors import InvalidConfig, InvalidDistribution
 from spectrum_auction.multi_lte import MultiMarketConfig
 from spectrum_auction.presets import preset
@@ -79,7 +82,7 @@ def test_finite_values_still_build():
 
 
 # ---------------------------------------------------------------------------
-# TypeDistribution.from_config reads numbers strictly
+# TypeDistribution reads a dist block's numbers strictly
 # ---------------------------------------------------------------------------
 
 
@@ -95,13 +98,13 @@ def test_finite_values_still_build():
 ])
 def test_from_config_rejects_non_numbers(dist):
     with pytest.raises(InvalidDistribution, match="must be a number"):
-        TypeDistribution.from_config(dist)
+        TypeDistribution(**dist)
 
 
 def test_from_config_keeps_ints_floats_and_null_moments():
-    assert TypeDistribution.from_config(UNIFORM) == TypeDistribution.uniform(50.0, 200.0)
-    assert TypeDistribution.from_config(dict(UNIFORM, mu=None, sigma=None)).kind == "uniform"
-    tn = TypeDistribution.from_config(dict(TN, mu=125.5))
+    assert TypeDistribution(**UNIFORM) == TypeDistribution.uniform(50.0, 200.0)
+    assert TypeDistribution(**dict(UNIFORM, mu=None, sigma=None)).kind == "uniform"
+    tn = TypeDistribution(**dict(TN, mu=125.5))
     assert tn == TypeDistribution.truncated_normal(125.5, 50.0, 50.0, 200.0)
     assert isinstance(tn.r_min, float) and isinstance(tn.sigma, float)
 
@@ -111,7 +114,7 @@ def test_cli_and_library_share_the_number_rule(value):
     with pytest.raises(InvalidConfig):
         _number(value, "x")
     with pytest.raises(InvalidDistribution):
-        TypeDistribution.from_config(dict(UNIFORM, r_max=value))
+        TypeDistribution(**dict(UNIFORM, r_max=value))
 
 
 # ---------------------------------------------------------------------------
@@ -145,3 +148,57 @@ def test_cli_non_finite_type_law_exits_2(capsys, tmp_path, key, value):
     market["dist"] = dict(TN, **{key: value})
     path = write_config(tmp_path, {"market": market, "c": 55.0})
     assert_config_error(*run_cli(capsys, "equilibrium", "--config", path))
+
+
+# ---------------------------------------------------------------------------
+# An integer too large for a float is not finite
+# ---------------------------------------------------------------------------
+
+# JSON integers have no size limit; ``float()`` of this one raises
+# OverflowError, and it compares below ``math.inf``.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("r_lte", [HUGE, -HUGE], ids=["huge", "-huge"])
+def test_markets_reject_huge_r_lte(uniform_dist, r_lte):
+    with pytest.raises(ValueError, match="r_lte"):
+        MarketConfig(4, uniform_dist, 0.3, 0.4, r_lte)
+    with pytest.raises(ValueError, match="r_lte"):
+        MultiMarketConfig(2, 2, uniform_dist, 0.3, 0.4, 0.5, r_lte)
+
+
+@pytest.mark.parametrize("key", ["r_min", "r_max", "mu", "sigma"])
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
+def test_type_law_rejects_huge_values(key, value):
+    params = {"mu": 125.0, "sigma": 50.0, "r_min": 50.0, "r_max": 200.0, key: value}
+    with pytest.raises(InvalidDistribution, match=f"distribution {key} must be finite"):
+        TypeDistribution.truncated_normal(**params)
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
+def test_reserve_rule_rejects_huge_values(market_k4, value):
+    with pytest.raises(ValueError, match="c must be finite and >= 0"):
+        require_reserve("c", value)
+    with pytest.raises(ValueError, match="reserve must be finite and >= 0"):
+        ExperimentConfig(market_k4, reserve=value)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
+    ("optimize", {"market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
+    ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], eta_apo=-HUGE)}),
+    ("optimize", {"market": dict(preset("appendixK")["market"], dist=dict(TN, r_max=HUGE))}),
+    ("equilibrium", {"c": HUGE, "market": preset("appendixK")["market"]}),
+    ("payoff-curve", {"c_min": 60.0, "c_max": HUGE, "market": preset("fig4")["market"]}),
+], ids=["equilibrium-r_lte", "optimize-r_lte", "equilibrium-eta_apo", "optimize-r_max",
+        "equilibrium-c", "payoff-curve-c_max"])
+def test_cli_huge_integer_exits_2(capsys, tmp_path, command, config):
+    """Each of these used to exit 1 with an OverflowError traceback."""
+    assert_config_error(*run_cli(capsys, command, "--config", write_config(tmp_path, config)))
+
+
+def test_cli_huge_multi_r_lte_exits_2(capsys, tmp_path):
+    market = dict(preset("fig12")["multi_market"], r_lte=HUGE)
+    path = write_config(tmp_path, {"multi_market": market})
+    assert_config_error(*run_cli(capsys, "multi-lte", "optimize", "--config", path,
+                                 "--samples", "4"))

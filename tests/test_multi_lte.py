@@ -180,7 +180,7 @@ class TestResolveMulti:
     def test_reduction_to_single_buyer(self, multi_market, market_k4):
         # with every shared seller abstaining, resolution over the alone
         # sellers reproduces the single-buyer auction exactly
-        alone_market = multi_market.alone_market()
+        alone_market = multi_market.alone_market
         rng_multi = RngStream(3, 5)
         rng_single = RngStream(3, 5)
         for types in ([60.0, 75.0], [150.0, 170.0], [55.0, 55.0]):

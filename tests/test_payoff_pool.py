@@ -109,7 +109,7 @@ def reserve_in(cfg, where, frac):
     """A reserve at relative position ``frac`` of one of five ranges:
     the alone market's four regimes, and the band in which shared
     sellers bid (their offset up to their highest bid)."""
-    alone = cfg.alone_market()
+    alone = cfg.alone_market
     low_cap, r_min, r_max = alone.low_regime_cap, cfg.dist.r_min, cfg.dist.r_max
     shared_lo = cfg.shared_offset + cfg.eta_apo * r_min
     shared_hi = cfg.shared_offset + cfg.eta_apo * r_max
@@ -157,7 +157,7 @@ def pool_reserve(cfg, pool, i, source):
     vs1, vs2 = cfg.eta_apo * pool[:2, i] + cfg.shared_offset
     a1, a2 = pool[2:, i]
     if source == "threshold":
-        strategy = solve_strategy(cfg.alone_market().sellers, float(a1))
+        strategy = solve_strategy(cfg.alone_market.sellers, float(a1))
         return strategy.r_t if strategy.r_t is not None else strategy.r_x
     values = {"vs1": vs1, "vs2": vs2, "a1": a1, "a2": a2}
     values["q"] = sorted(values.values())[1]

@@ -107,7 +107,7 @@ def test_markets_accept_ints(uniform_dist):
 
 @pytest.mark.parametrize("dist", [None, "uniform", {"kind": "uniform", "r_min": 50, "r_max": 200}])
 def test_multi_market_rejects_a_dist_that_is_not_a_law(dist):
-    """It used to build, and failed only later in ``alone_market()``."""
+    """It used to build, and failed only later in ``alone_market``."""
     with pytest.raises(ValueError) as seller:
         SellerMarket(2, dist, 0.3)
     with pytest.raises(ValueError) as multi:
