@@ -35,7 +35,6 @@ from .errors import (
     InvalidDistribution,
     InvalidProfile,
     NonUniqueThreshold,
-    NonUnimodalCurve,
     NoRootInInterval,
     SpectrumAuctionError,
 )

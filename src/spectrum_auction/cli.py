@@ -9,13 +9,11 @@ they refuse is a config error. ``load_config`` sets each given flag
 over its config key.
 
 Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold
-or failed certification; a payoff curve that fails the unimodality
-guard falls back to a grid search instead). Errors print one
-machine-readable JSON line to stderr. All numeric output carries 9
-significant digits. Each action accepts only the flags it reads; an
-unknown flag is a usage error (exit 2). ``--workers`` is still checked
-(an integer >= 1) but has no effect: every experiment runs in this
-process.
+or failed certification). Errors print one machine-readable JSON line
+to stderr. All numeric output carries 9 significant digits. Each action
+accepts only the flags it reads; an unknown flag is a usage error
+(exit 2). ``--workers`` is still checked (an integer >= 1) but has no
+effect: every experiment runs in this process.
 """
 from __future__ import annotations
 

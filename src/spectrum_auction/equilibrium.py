@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -50,11 +51,13 @@ SCAN_POINTS = 10_000
 CACHE_SIZE = 4096
 
 
-def require_count(name: str, value, low: int) -> None:
+def require_count(name: str, value, low: int, high: int = sys.maxsize) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer (numpy
-    integers included, bools not) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    integers included, bools not) in ``[low, high]``. The default
+    ``high`` is the largest size an array or a range can take."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def require_numbers(obj, *names: str) -> None:
@@ -168,7 +171,7 @@ class Bid:
     rate: float | None
 
     def __post_init__(self):
-        if self.rate is not None and not 0.0 <= self.rate < math.inf:
+        if self.rate is not None and not (is_finite(self.rate) and self.rate >= 0.0):
             raise ValueError(f"bid rates must be finite and >= 0, got {self.rate!r}")
 
     @property
@@ -177,7 +180,9 @@ class Bid:
 
     @classmethod
     def of(cls, rate: float) -> "Bid":
-        return cls(float(rate))
+        """A numeric bid with its rate stored as a float; a rate the
+        rule refuses is never converted."""
+        return cls(float(rate) if is_finite(rate) else rate)
 
     def __str__(self) -> str:
         return "N" if self.rate is None else repr(self.rate)

@@ -34,10 +34,6 @@ class NonUniqueThreshold(SpectrumAuctionError):
     to pick among multiple candidate equilibria."""
 
 
-class NonUnimodalCurve(SpectrumAuctionError):
-    """A payoff curve failed the unimodality guard scan."""
-
-
 class CertificationFailed(SpectrumAuctionError):
     """A strategy failed best-response certification.
 

@@ -21,7 +21,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .auction import AuctionOutcome, Mode, _second_price, realized_apo_payoffs, second_price_rows
+from .auction import (
+    AuctionOutcome, BidProfile, Mode, _second_price, realized_apo_payoffs, second_price_rows,
+)
 from .distributions import TypeDistribution
 from .equilibrium import (
     ABSTAIN_VALUE,
@@ -182,16 +184,12 @@ def resolve_multi(
 ) -> MultiAuctionOutcome:
     """Resolve one multi-buyer auction from virtual bids (shared sellers
     first, then alone sellers, matching ``vbids`` origins)."""
-    if len(vbids) < 2:
-        raise InvalidProfile("a profile needs at least two bids")
+    values = BidProfile(tuple(vbids)).values()
     k_s = sum(1 for b in vbids if b.origin is Origin.SHARED)
     for i, b in enumerate(vbids):
         expected = Origin.SHARED if i < k_s else Origin.ALONE
         if b.origin is not expected:
             raise InvalidProfile("virtual bids must list shared sellers first")
-    values = np.array(
-        [ABSTAIN_VALUE if b.is_abstain else b.rate for b in vbids], dtype=float
-    )
     return _resolve_virtual_values(values, k_s, cfg, c, rng)
 
 
@@ -327,17 +325,12 @@ def feasible_reserve_bounds(cfg: MultiMarketConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def optimize_reserve_multi(
-    cfg: MultiMarketConfig,
-    *,
-    n: int = MC_SAMPLES,
-    strict_unimodal: bool = False,
-) -> OptimalReserve:
+def optimize_reserve_multi(cfg: MultiMarketConfig, *, n: int = MC_SAMPLES) -> OptimalReserve:
     """Reserve optimization on the Monte Carlo payoff curve.
 
     The guarded search the single-buyer optimizer runs, with the guard
     tolerance widened by the estimates' standard errors; a failed guard
-    falls back to a coarser grid (or raises when ``strict_unimodal``).
+    falls back to a coarser grid.
     A final local grid polish sharpens the golden section bracket
     against residual Monte Carlo jitter.
     """
@@ -356,7 +349,6 @@ def optimize_reserve_multi(
         fallback_points=FALLBACK_GRID_POINTS,
         width=width,
         refine=lambda c: np.linspace(max(lo, c - 5 * width), min(hi, c + 5 * width), 11),
-        strict=strict_unimodal,
     )
     if baseline >= best_val:
         return OptimalReserve(0.0, baseline, 1, (0.0, lo))

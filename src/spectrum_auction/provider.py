@@ -1,13 +1,13 @@
 """Buyer-side analysis: expected payoff over reserve rates and the
 optimal reserve.
 
-The expected payoff under equilibrium bidding has a closed form per
-regime; the standard and high regimes need a quadrature of the
-expected second-lowest-type payment. The optimum follows a three-case
-rule: a capacity threshold ``(k-1+eta)/(k(1-delta)) * r_min`` decides
-whether selling is worth anything at all, and above it the curve is
-empirically unimodal, so golden section search applies (with a coarse
-guard scan and a grid fallback should the scan find a dip).
+The expected payoff under equilibrium bidding has one closed form for
+every regime, with a quadrature of the expected second-lowest-type
+payment that is empty when ``c <= r_min``. The optimum follows a
+three-case rule: a capacity threshold ``(k-1+eta)/(k(1-delta)) * r_min``
+decides whether selling is worth anything at all, and above it the
+curve is empirically unimodal, so golden section search applies (with
+a coarse guard scan and a grid fallback should the scan find a dip).
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .equilibrium import (
     solve_threshold_mid,
     solve_threshold_standard,
 )
-from .errors import NonUnimodalCurve
 from .numerics import golden_section_max, has_interior_dip, simpson_with_doubling
 
 QUAD_START_PANELS = 2048
@@ -55,7 +54,8 @@ class OptimalReserve:
 
 
 def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:
-    """k(k-1) * integral of r f(r) F(r) (1-F(r))^(k-2) from r_min to hi."""
+    """k(k-1) * integral of r f(r) F(r) (1-F(r))^(k-2) from r_min to
+    min(hi, r_max); 0 when hi <= r_min."""
     dist = cfg.dist
     if hi <= dist.r_min:
         return 0.0
@@ -75,39 +75,34 @@ def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:
 
 def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
     """Buyer's expected payoff and the expected payment at reserve
-    ``c`` under equilibrium bidding, from one regime dispatch.
+    ``c`` under equilibrium bidding.
 
-    Payment (the rate allocated to the winning seller, zero when no one
-    wins): in the standard regime, a quadrature of the
-    second-lowest-type payment below ``c`` plus the reserve-capped mass
-    above it; in the mid regime, the reserve times the probability
-    anyone sells; in the high regime, the full second-lowest-type
-    expectation. The payoff is continuous in ``c`` across regime
-    boundaries.
+    In every regime, types up to ``min(c, r_max)`` bid truthfully, types
+    up to an abstention threshold ``t`` bid ``c`` and the rest abstain:
+    ``t`` is ``r_min`` in the low regime, ``r_x`` in the mid, ``r_t`` in
+    the standard and ``r_max`` in the high regime. The payment (the rate
+    allocated to the winning seller, zero when no one wins) is a
+    quadrature of the second-lowest-type payment below ``c`` plus ``c``
+    times the probability that some seller sells while at most one type
+    lies below ``c``. The payoff is continuous in ``c``.
     """
     dist = cfg.dist
     r = cfg.r_lte
     regime = classify_regime(cfg, c)
-    if regime.kind is RegimeKind.LOW:
-        payoff, payment = cfg.delta_lte * r, 0.0
-    elif regime.kind is RegimeKind.MID:
-        r_x = solve_threshold_mid(cfg.sellers, c)
-        none_sells = (1.0 - dist.cdf(r_x)) ** cfg.k
-        payment = c * (1.0 - none_sells)
-        payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * (r - c)
-    elif regime.kind is RegimeKind.HIGH:
-        payment = _second_lowest_integral(cfg, dist.r_max)
-        payoff = r - payment
+    if regime.kind is RegimeKind.MID:
+        t = solve_threshold_mid(cfg.sellers, c)
+    elif regime.kind is RegimeKind.STANDARD:
+        t = solve_threshold_standard(cfg.sellers, c)
     else:
-        r_t = solve_threshold_standard(cfg.sellers, c)
-        f_c = dist.cdf(c)
-        none_sells = (1.0 - dist.cdf(r_t)) ** cfg.k
-        payment = (
-            _second_lowest_integral(cfg, c)
-            + cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
-            + c * ((1.0 - f_c) ** cfg.k - none_sells)
-        )
-        payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * r - payment
+        t = dist.r_min if regime.kind is RegimeKind.LOW else dist.r_max
+    none_sells = (1.0 - dist.cdf(t)) ** cfg.k
+    f_c = dist.cdf(c)
+    payment = (
+        _second_lowest_integral(cfg, c)
+        + cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
+        + c * ((1.0 - f_c) ** cfg.k - none_sells)
+    )
+    payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * r - payment
     return PayoffCurvePoint(c, payoff, regime, payment)
 
 
@@ -127,8 +122,7 @@ def capacity_threshold(cfg: MarketConfig) -> float:
 
 
 def _search_reserve(
-    estimate, lo: float, hi: float, r_lte: float, *, fallback_points: int, width: float,
-    refine, strict: bool,
+    estimate, lo: float, hi: float, r_lte: float, *, fallback_points: int, width: float, refine,
 ) -> tuple[float, float]:
     """Guarded maximization of a payoff curve on [lo, hi], shared by the
     single- and multi-buyer optimizers; returns ``(c, value)``.
@@ -136,16 +130,14 @@ def _search_reserve(
     ``estimate(c)`` returns ``(value, standard error)``; an exact curve
     reports 0. A scan of GUARD_POINTS reserves tests the curve for an
     interior dip beyond ``1e-4 * r_lte`` plus six median standard
-    errors. A dip raises NonUnimodalCurve when ``strict`` and otherwise
-    returns the best point of a ``fallback_points`` grid. A unimodal
-    scan runs golden section down to ``width``; each candidate of
-    ``refine(c)`` then replaces the optimum when it is strictly better.
+    errors. A dip returns the best point of a ``fallback_points`` grid.
+    A unimodal scan runs golden section down to ``width``; each
+    candidate of ``refine(c)`` then replaces the optimum when it is
+    strictly better.
     """
     scan = [estimate(float(c)) for c in np.linspace(lo, hi, GUARD_POINTS)]
     tol = 1e-4 * r_lte + 6.0 * float(np.median([se for _, se in scan]))
     if has_interior_dip([v for v, _ in scan], tol):
-        if strict:
-            raise NonUnimodalCurve("payoff curve failed the unimodality guard scan")
         fine = np.linspace(lo, hi, fallback_points)
         values = [estimate(float(c))[0] for c in fine]
         best = int(np.argmax(values))
@@ -158,7 +150,7 @@ def _search_reserve(
     return c_star, best
 
 
-def optimize_reserve(cfg: MarketConfig, *, strict_unimodal: bool = False) -> OptimalReserve:
+def optimize_reserve(cfg: MarketConfig) -> OptimalReserve:
     """Optimal reserve rate.
 
     Case 1 (throughput at or below the capacity threshold): any reserve
@@ -166,7 +158,6 @@ def optimize_reserve(cfg: MarketConfig, *, strict_unimodal: bool = False) -> Opt
     Case 2 (threshold < throughput <= r_max): search (cap, throughput].
     Case 3 (throughput above both): search (cap, r_max]. The search
     runs golden section after a coarse unimodality scan; a failed scan
-    raises NonUnimodalCurve when ``strict_unimodal`` and otherwise
     falls back to a fine grid.
     """
     r = cfg.r_lte
@@ -192,6 +183,5 @@ def optimize_reserve(cfg: MarketConfig, *, strict_unimodal: bool = False) -> Opt
         width=1e-4 * cfg.dist.r_max,
         # The boundary hi is a candidate the interior search can miss.
         refine=lambda c: (hi,),
-        strict=strict_unimodal,
     )
     return OptimalReserve(float(c_star), float(best), case)

@@ -44,9 +44,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_count("replications", self.replications, 1)
-        require_count("master_seed", self.master_seed, 0)
-        if self.master_seed > _U64_MAX:
-            raise ValueError(f"master_seed must be at most 2**64 - 1, got {self.master_seed!r}")
+        require_count("master_seed", self.master_seed, 0, _U64_MAX)
         if self.reserve is not None:
             require_reserve("reserve", self.reserve)
         if self.sweep is not None:

@@ -6,7 +6,9 @@ auction with "pick needs n >= 1", and ``expected_apo_payoff`` scored the
 NaN bidder as a loser. ``bid_shared`` used to accept a type outside the
 law's support: on U[50, 200] type 0.0 bid 100.0 and NaN abstained.
 Both now raise ``ValueError``, as a negative rate and an off-support
-``bid`` type already did.
+``bid`` type already did. So does an int rate too large for a float:
+``Bid(10**400)`` built, and ``BidProfile.of([10**400, 60.0])`` raised a
+bare ``OverflowError`` from ``float()``.
 """
 import math
 
@@ -56,6 +58,18 @@ def test_virtual_bid_refuses_a_non_finite_or_negative_rate(rate, origin):
 def test_profile_with_a_nan_bid_fails_when_built():
     with pytest.raises(ValueError, match="bid rates must be finite and >= 0"):
         BidProfile.of([math.nan, 60.0, None, None])
+
+
+@pytest.mark.parametrize("build", [
+    Bid,
+    Bid.of,
+    lambda rate: BidProfile.of([rate, 60.0]),
+    lambda rate: VirtualBid(rate, Origin.ALONE),
+], ids=["Bid", "Bid.of", "BidProfile.of", "VirtualBid"])
+@pytest.mark.parametrize("rate", [10**400, -10**400], ids=["huge", "-huge"])
+def test_an_int_rate_too_large_for_a_float_is_refused(build, rate):
+    with pytest.raises(ValueError, match="bid rates must be finite and >= 0"):
+        build(rate)
 
 
 @pytest.mark.parametrize("r", [0.0, 49.999, 200.001, *NON_FINITE])

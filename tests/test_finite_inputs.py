@@ -11,6 +11,7 @@ and floats only, so ``True`` or ``"0"`` no longer become ``1.0`` or
 ``0.0``."""
 import json
 import math
+import sys
 
 import pytest
 
@@ -183,6 +184,29 @@ def test_reserve_rule_rejects_huge_values(market_k4, value):
         ExperimentConfig(market_k4, reserve=value)
 
 
+def test_counts_above_sys_maxsize_are_refused(uniform_dist):
+    """No array can hold such a count: ``k = 10**400`` overflowed in
+    ``externality_share`` and 10**30 replications in ``np.empty``."""
+    with pytest.raises(ValueError, match="k must be an integer"):
+        MarketConfig(HUGE, uniform_dist, 0.3, 0.4, 95.0)
+    for k_s, k_a in ((HUGE, 2), (2, HUGE)):
+        with pytest.raises(ValueError, match="k_[sa] must be an integer"):
+            MultiMarketConfig(k_s, k_a, uniform_dist, 0.3, 0.4, 0.5, 200.0)
+    market = MarketConfig(4, uniform_dist, 0.3, 0.4, 95.0)
+    with pytest.raises(ValueError, match="replications must be an integer"):
+        ExperimentConfig(market, replications=sys.maxsize + 1)
+    assert ExperimentConfig(market, replications=sys.maxsize).replications == sys.maxsize
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--preset", "appendixK"),
+    ("multi-lte", "simulate", "--preset", "fig12", "--reserve", "140"),
+], ids=["simulate", "multi-lte-simulate"])
+def test_cli_replications_no_array_can_hold_exit_2(capsys, args):
+    """Each used to exit 1 with "Maximum allowed dimension exceeded"."""
+    assert_config_error(*run_cli(capsys, *args, "--replications", str(10**30)))
+
+
 @pytest.mark.parametrize("command, config", [
     ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
     ("optimize", {"market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
@@ -190,8 +214,9 @@ def test_reserve_rule_rejects_huge_values(market_k4, value):
     ("optimize", {"market": dict(preset("appendixK")["market"], dist=dict(TN, r_max=HUGE))}),
     ("equilibrium", {"c": HUGE, "market": preset("appendixK")["market"]}),
     ("payoff-curve", {"c_min": 60.0, "c_max": HUGE, "market": preset("fig4")["market"]}),
+    ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], k=HUGE)}),
 ], ids=["equilibrium-r_lte", "optimize-r_lte", "equilibrium-eta_apo", "optimize-r_max",
-        "equilibrium-c", "payoff-curve-c_max"])
+        "equilibrium-c", "payoff-curve-c_max", "equilibrium-k"])
 def test_cli_huge_integer_exits_2(capsys, tmp_path, command, config):
     """Each of these used to exit 1 with an OverflowError traceback."""
     assert_config_error(*run_cli(capsys, command, "--config", write_config(tmp_path, config)))

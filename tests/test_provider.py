@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrum_auction import (
     MarketConfig,
     RegimeKind,
+    TypeDistribution,
     classify_regime,
     expected_payment,
     expected_payoff,
     optimize_reserve,
+    solve_threshold_mid,
     solve_threshold_standard,
 )
 from spectrum_auction.numerics import has_interior_dip
@@ -16,7 +22,7 @@ from spectrum_auction.oracle import (
     payments_for_types,
     sample_type_matrix,
 )
-from spectrum_auction.provider import capacity_threshold, curve_point
+from spectrum_auction.provider import _second_lowest_integral, capacity_threshold, curve_point
 from spectrum_auction.rng import RngStream
 
 
@@ -123,3 +129,67 @@ class TestOptimizeReserve:
         ]
         assert points[0].expected_payment == 0.0
         assert all(p.expected_payoff <= market_k4.r_lte for p in points)
+
+
+def four_branch_point(cfg, c):
+    """``(payoff, payment)`` by a separate expression per regime: the
+    reference the one-formula ``curve_point`` is checked against."""
+    dist, r = cfg.dist, cfg.r_lte
+    kind = classify_regime(cfg, c).kind
+    if kind is RegimeKind.LOW:
+        return cfg.delta_lte * r, 0.0
+    if kind is RegimeKind.MID:
+        none_sells = (1.0 - dist.cdf(solve_threshold_mid(cfg.sellers, c))) ** cfg.k
+        payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * (r - c)
+        return payoff, c * (1.0 - none_sells)
+    if kind is RegimeKind.HIGH:
+        payment = _second_lowest_integral(cfg, dist.r_max)
+        return r - payment, payment
+    f_c = dist.cdf(c)
+    none_sells = (1.0 - dist.cdf(solve_threshold_standard(cfg.sellers, c))) ** cfg.k
+    payment = (
+        _second_lowest_integral(cfg, c)
+        + cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
+        + c * ((1.0 - f_c) ** cfg.k - none_sells)
+    )
+    return none_sells * cfg.delta_lte * r + (1.0 - none_sells) * r - payment, payment
+
+
+LAWS = [TypeDistribution.uniform(50, 200), TypeDistribution.truncated_normal(125, 50, 50, 200)]
+
+
+@st.composite
+def markets_and_reserves(draw):
+    """A market on a preset law with a preset throughput, and a reserve
+    anywhere up to past r_max or at, or one ulp from, L, r_min or r_max.
+    Each throughput exceeds r_min, so ``R - c`` does not cancel in the
+    mid regime."""
+    cfg = MarketConfig(
+        k=draw(st.integers(2, 7)),
+        dist=draw(st.sampled_from(LAWS)),
+        eta_apo=draw(st.sampled_from([0.1, 0.3, 0.6, 0.9])),
+        delta_lte=draw(st.sampled_from([0.2, 0.4, 0.8])),
+        r_lte=draw(st.sampled_from([95.0, 150.0, 240.0, 370.0])),
+    )
+    step = draw(st.sampled_from([None, -1, 0, 1]))
+    if step is None:
+        return cfg, draw(st.floats(0.0, 250.0))
+    anchor = draw(st.sampled_from([cfg.low_regime_cap, cfg.dist.r_min, cfg.dist.r_max]))
+    return cfg, math.nextafter(anchor, step * math.inf) if step else anchor
+
+
+@given(markets_and_reserves())
+@settings(max_examples=150, deadline=None)
+def test_one_formula_matches_the_four_branch_formula(market_and_reserve):
+    """The payment is bit-equal in every regime, and so is the payoff
+    outside the mid regime (F is 0 at r_min and 1 from r_max on). In the
+    mid regime ``(1-n)*R - c*(1-n)`` replaces ``(1-n)*(R-c)``, which
+    moves the payoff by at most 4 ulp."""
+    cfg, c = market_and_reserve
+    point = curve_point(cfg, c)
+    payoff, payment = four_branch_point(cfg, c)
+    assert point.expected_payment.hex() == payment.hex()
+    if point.regime.kind is RegimeKind.MID:
+        assert abs(point.expected_payoff - payoff) <= 4 * math.ulp(payoff)
+    else:
+        assert point.expected_payoff.hex() == payoff.hex()

@@ -1,18 +1,11 @@
 """The guarded reserve search both optimizers share, the closed-form
-payoff's single regime dispatch, and the CLI's refusal exit code."""
+payoff's single quadrature, and the CLI's refusal exit code."""
 import json
 
 import numpy as np
 import pytest
 
-from spectrum_auction import (
-    CertificationFailed,
-    MultiMarketConfig,
-    NonUnimodalCurve,
-    TypeDistribution,
-    optimize_reserve,
-    optimize_reserve_multi,
-)
+from spectrum_auction import CertificationFailed
 from spectrum_auction import provider
 from spectrum_auction.cli import main, parse_market
 from spectrum_auction.presets import preset
@@ -24,9 +17,9 @@ def two_peaks(c):
     return float(np.exp(-((c - 2.0) ** 2)) + 2.0 * np.exp(-((c - 8.0) ** 2)))
 
 
-def search(estimate, refine=lambda c: (), strict=False):
+def search(estimate, refine=lambda c: ()):
     return _search_reserve(estimate, 0.0, 10.0, 10.0, fallback_points=501, width=1e-6,
-                           refine=refine, strict=strict)
+                           refine=refine)
 
 
 class TestSearchReserve:
@@ -38,14 +31,10 @@ class TestSearchReserve:
         assert (c, value) == (float(fine[best]), two_peaks(float(fine[best])))
         assert refined == []
 
-    def test_dip_refused_when_strict(self):
-        with pytest.raises(NonUnimodalCurve):
-            search(lambda c: (two_peaks(c), 0.0), strict=True)
-
     def test_standard_errors_widen_the_guard_tolerance(self):
         # six median standard errors swallow the dip: golden section runs
         refined = []
-        search(lambda c: (two_peaks(c), 1.0), refine=lambda c: refined.append(c) or (), strict=True)
+        search(lambda c: (two_peaks(c), 1.0), refine=lambda c: refined.append(c) or ())
         assert len(refined) == 1
 
     def test_strictly_better_refinement_replaces_the_optimum(self):
@@ -56,17 +45,6 @@ class TestSearchReserve:
 @pytest.fixture(scope="module")
 def appendix_market():
     return parse_market(preset("appendixK"))
-
-
-def test_strict_optimize_on_a_unimodal_preset_is_the_default(appendix_market):
-    assert optimize_reserve(appendix_market, strict_unimodal=True) == optimize_reserve(appendix_market)
-
-
-def test_strict_multi_optimize_on_a_unimodal_market_is_the_default():
-    cfg = MultiMarketConfig(4, 2, TypeDistribution.truncated_normal(125, 50, 50, 200),
-                            0.3, 0.4, 0.5, 200.0)
-    strict = optimize_reserve_multi(cfg, n=2000, strict_unimodal=True)
-    assert strict == optimize_reserve_multi(cfg, n=2000)
 
 
 def test_standard_regime_point_runs_one_quadrature(appendix_market, monkeypatch):
@@ -82,14 +60,6 @@ class TestRefusalExitCodes:
     def run(self, capsys, *args):
         code = main(list(args))
         return code, json.loads(capsys.readouterr().err)
-
-    def test_non_unimodal_curve_maps_to_3(self, capsys, monkeypatch):
-        def refuse(cfg, **kwargs):
-            raise NonUnimodalCurve("synthetic")
-
-        monkeypatch.setattr("spectrum_auction.cli.provider.optimize_reserve", refuse)
-        code, err = self.run(capsys, "optimize", "--preset", "appendixK")
-        assert (code, err["error"]) == (3, "NonUnimodalCurve")
 
     def test_certification_failed_maps_to_3(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
