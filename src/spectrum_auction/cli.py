@@ -28,7 +28,7 @@ import numpy as np
 
 from . import multi_lte, oracle, provider, simulation
 from .distributions import TypeDistribution
-from .equilibrium import MarketConfig, RegimeKind, require_reserve, solve_strategy
+from .equilibrium import MarketConfig, RegimeKind, require_count, require_reserve, solve_strategy
 from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
 from .multi_lte import MultiMarketConfig
 from .numerics import is_finite, is_number
@@ -211,7 +211,7 @@ def _curve_grid(cfg: dict) -> np.ndarray:
     c_min, c_max = _built(require_reserve, "c_min", c_min), _built(require_reserve, "c_max", c_max)
     _require(c_min < c_max, "need c_min < c_max")
     steps = _integer(cfg.get("steps", 100), "steps")
-    _require(steps >= 2, "need steps >= 2")
+    _built(require_count, "steps", steps, 2)
     return np.linspace(c_min, c_max, steps)
 
 

@@ -130,8 +130,18 @@ class TypeDistribution:
     def pdf(self, r):
         """Density at ``r`` (1/Mbps); zero outside the support.
 
-        Accepts a scalar or ndarray and returns the same shape.
+        Accepts a scalar or ndarray and returns the same shape. A
+        ``float`` (``np.float64`` included) takes a scalar path: the same
+        formula on Python floats, without the small-array round trip.
         """
+        if isinstance(r, float):
+            r = float(r)
+            if not self.r_min <= r <= self.r_max:
+                return 0.0
+            if self.kind == UNIFORM:
+                return 1.0 / self.span
+            z = (r - self.mu) / self.sigma
+            return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / (self.sigma * self._mass)
         r_arr = np.asarray(r, dtype=float)
         if self.kind == UNIFORM:
             inside = (r_arr >= self.r_min) & (r_arr <= self.r_max)

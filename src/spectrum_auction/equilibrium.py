@@ -272,27 +272,49 @@ def _threshold_residual(cfg: AnyMarket, c: float, r, f_floor: float):
 
     ``f_floor`` is the CDF value subtracted inside the binomial term:
     F(c) for the standard regime, 0 for the mid regime. A ``float``
-    ``r`` (the bisection's) stays a Python float throughout: the
-    operations are those of the array path in the same order, and
-    ``**`` on Python floats is the libm ``pow`` either way.
+    ``r`` (the bisection's) stays a Python float throughout, and an
+    array ``r`` (the uniqueness scan's) is computed in six reused
+    buffers. Both paths run the same IEEE operations in the same order,
+    ``((comb * mass**n) * surv**(k-1-n)) * (c-r) / (n+1)`` per term, and
+    ``**`` is the libm ``pow`` on Python floats and in ``np.power``.
+    Any other scalar ``r`` is taken as a float.
     """
     k = cfg.k
+    if isinstance(r, float) or np.ndim(r) == 0:
+        r = float(r)
+        fr = cfg.dist.cdf(r)
+        surv = 1.0 - fr
+        total = surv ** (k - 1) * (c - cfg.externality_share * r)
+        mass = fr - f_floor
+        for n in range(1, k):
+            total = total + (
+                math.comb(k - 1, n)
+                * mass**n
+                * surv ** (k - 1 - n)
+                * (c - r)
+                / (n + 1)
+            )
+        return float(total)
+    r = np.asarray(r, dtype=float)
+    # cdf returns a new array, so fr is ours to overwrite with the mass
+    # once the survival is taken.
     fr = cfg.dist.cdf(r)
-    scalar = isinstance(r, float)
-    if not scalar:
-        r = np.asarray(r, dtype=float)
-    surv = 1.0 - fr
-    total = surv ** (k - 1) * (c - cfg.externality_share * r)
-    mass = fr - f_floor
+    surv = np.subtract(1.0, fr)
+    mass = np.subtract(fr, f_floor, out=fr)
+    gap = np.subtract(c, r)
+    total = np.multiply(cfg.externality_share, r)
+    np.subtract(c, total, out=total)
+    term = np.power(surv, k - 1)
+    total *= term
+    power = np.empty_like(total)
     for n in range(1, k):
-        total = total + (
-            math.comb(k - 1, n)
-            * mass**n
-            * surv ** (k - 1 - n)
-            * (c - r)
-            / (n + 1)
-        )
-    return float(total) if scalar or np.ndim(total) == 0 else total
+        np.power(mass, n, out=term)
+        term *= math.comb(k - 1, n)
+        term *= np.power(surv, k - 1 - n, out=power)
+        term *= gap
+        term /= n + 1
+        total += term
+    return total
 
 
 def threshold_residual_standard(cfg: AnyMarket, c: float, r):

@@ -223,10 +223,11 @@ def apo_payoffs_multi(
 
 
 def require_samples(n: int) -> None:
-    """Raise ``ValueError`` unless ``n`` is an even number >= 4: the
-    antithetic estimator pairs rows and needs two pairs for a standard
-    error."""
-    if n < 4 or n % 2:
+    """Raise ``ValueError`` unless ``n`` is an even count in
+    ``[4, sys.maxsize]``: the antithetic estimator pairs rows and needs
+    two pairs for a standard error."""
+    require_count("samples", n, 4)
+    if n % 2:
         raise ValueError(f"samples must be an even number >= 4, got {n}")
 
 

@@ -1,5 +1,6 @@
 """Small numerical building blocks: bracketing, bisection, golden
-section search, composite Simpson quadrature, and a unimodality scan."""
+section search, composite Simpson quadrature with a cumulative table
+over it, and a unimodality scan."""
 from __future__ import annotations
 
 import math
@@ -148,6 +149,54 @@ def simpson_with_doubling(
         if abs(fine - coarse) / 15.0 <= budget or panels >= max_panels:
             return fine
         coarse = fine
+
+
+class CumulativeSimpson:
+    """Composite Simpson integrals of ``f`` from ``a`` to every point of
+    ``[a, b]``, read from one panel grid.
+
+    The grid's panels double from ``start_panels``, through
+    :func:`simpson_with_doubling`, until the Richardson estimate over the
+    whole of ``[a, b]`` (with ``a < b``) meets ``budget`` or the count
+    reaches that function's cap of 2**16. The table keeps the final
+    grid's prefix integrals at its even nodes and is never refined
+    afterwards, so an integral is a pure function of the table's
+    arguments and its limit. ``f`` takes an ndarray of nodes to build
+    the table and a float for the tails.
+    """
+
+    def __init__(self, f: Callable, a: float, b: float, *, start_panels: int, budget: float):
+        final = []
+
+        def sampled(xs):
+            ys = np.asarray(f(xs), dtype=float)
+            final[:] = xs, ys
+            return ys
+
+        simpson_with_doubling(sampled, a, b, start_panels=start_panels, budget=budget)
+        xs, ys = final
+        h = (b - a) / (len(xs) - 1)
+        pairs = h / 3.0 * (ys[:-2:2] + 4.0 * ys[1::2] + ys[2::2])
+        self.f, self.a, self.b = f, a, b
+        self.nodes = xs[::2].copy()
+        self.prefix = np.concatenate(([0.0], np.cumsum(pairs)))
+
+    def integral(self, hi: float) -> float:
+        """Integral from ``a`` to ``min(hi, b)``; 0 when ``hi <= a``.
+
+        The prefix integral up to the last even node at or below the
+        limit, plus a two-panel Simpson tail from that node to it.
+        """
+        if hi <= self.a:
+            return 0.0
+        hi = min(hi, self.b)
+        j = int(np.searchsorted(self.nodes, hi, side="right")) - 1
+        x = float(self.nodes[j])
+        value = float(self.prefix[j])
+        if x == hi:
+            return value
+        f = self.f
+        return value + (hi - x) / 6.0 * (f(x) + 4.0 * f(0.5 * (x + hi)) + f(hi))
 
 
 def has_interior_dip(values: Sequence[float], tol: float) -> bool:

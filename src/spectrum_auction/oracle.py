@@ -21,6 +21,7 @@ from .equilibrium import (
     RegimeKind,
     bid_values,
     classify_regime,
+    require_count,
 )
 from .errors import CertificationFailed, NoRootInInterval
 from .rng import RngStream
@@ -228,9 +229,11 @@ def mutated_mid_always_cap(cfg: MarketConfig, c: float) -> Strategy:
 
 def require_grids(samples: int, type_grid: int, bid_grid: int) -> None:
     """Raise ``ValueError`` unless a certification has ``samples >= 2``
-    for a standard error and non-empty type and bid grids."""
-    if samples < 2 or type_grid < 1 or bid_grid < 1:
-        raise ValueError("need samples >= 2, type_grid >= 1 and bid_grid >= 1")
+    for a standard error and non-empty type and bid grids, each count at
+    most ``sys.maxsize``."""
+    require_count("samples", samples, 2)
+    require_count("type_grid", type_grid, 1)
+    require_count("bid_grid", bid_grid, 1)
 
 
 def best_response_check(

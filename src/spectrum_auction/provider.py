@@ -3,7 +3,10 @@ optimal reserve.
 
 The expected payoff under equilibrium bidding has one closed form for
 every regime, with a quadrature of the expected second-lowest-type
-payment that is empty when ``c <= r_min``. The optimum follows a
+payment that is empty when ``c <= r_min``. The reserve moves only the
+quadrature's upper limit, so each (type law, k, budget) gets one
+cumulative Simpson table, and a reserve reads a prefix integral plus
+a two-panel tail from it. The optimum follows a
 three-case rule: a capacity threshold ``(k-1+eta)/(k(1-delta)) * r_min``
 decides whether selling is worth anything at all, and above it the
 curve is empirically unimodal, so golden section search applies (with
@@ -12,9 +15,11 @@ a coarse guard scan and a grid fallback should the scan find a dip).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .distributions import TypeDistribution
 from .equilibrium import (
     MarketConfig,
     RegimeKind,
@@ -23,11 +28,14 @@ from .equilibrium import (
     solve_threshold_mid,
     solve_threshold_standard,
 )
-from .numerics import golden_section_max, has_interior_dip, simpson_with_doubling
+from .numerics import CumulativeSimpson, golden_section_max, has_interior_dip
 
 QUAD_START_PANELS = 2048
 GUARD_POINTS = 200
 FALLBACK_GRID_POINTS = 2000
+# Payment tables kept at once, one per (type law, k, budget). A table
+# holds two arrays of at most 2**15 + 1 floats, 512 KB at the panel cap.
+TABLE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -53,24 +61,31 @@ class OptimalReserve:
     interval: tuple[float, float] | None = None
 
 
-def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:
-    """k(k-1) * integral of r f(r) F(r) (1-F(r))^(k-2) from r_min to
-    min(hi, r_max); 0 when hi <= r_min."""
-    dist = cfg.dist
-    if hi <= dist.r_min:
-        return 0.0
-    k = cfg.k
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _payment_table(dist: TypeDistribution, k: int, budget: float) -> CumulativeSimpson:
+    """Cumulative table of ``r f(r) F(r) (1-F(r))^(k-2)`` over the
+    support, accurate to ``budget``. The integrand depends only on the
+    law and ``k``; the reserve moves only the upper limit, so one table
+    serves every reserve of a market."""
 
     def integrand(r):
         fr = dist.cdf(r)
         return r * dist.pdf(r) * fr * (1.0 - fr) ** (k - 2)
 
+    return CumulativeSimpson(integrand, dist.r_min, dist.r_max,
+                             start_panels=QUAD_START_PANELS, budget=budget)
+
+
+def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:
+    """k(k-1) * integral of r f(r) F(r) (1-F(r))^(k-2) from r_min to
+    min(hi, r_max); 0 when hi <= r_min. Read from the market's payment
+    table, whose budget is ``1e-8 * r_lte / (k(k-1))``; a reserve in the
+    low or mid regime builds no table."""
+    if hi <= cfg.dist.r_min:
+        return 0.0
+    k = cfg.k
     budget = 1e-8 * cfg.r_lte / (k * (k - 1))
-    val = simpson_with_doubling(
-        integrand, dist.r_min, min(hi, dist.r_max),
-        start_panels=QUAD_START_PANELS, budget=budget,
-    )
-    return k * (k - 1) * val
+    return k * (k - 1) * _payment_table(cfg.dist, k, budget).integral(hi)
 
 
 def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:

@@ -207,6 +207,23 @@ def test_cli_replications_no_array_can_hold_exit_2(capsys, args):
     assert_config_error(*run_cli(capsys, *args, "--replications", str(10**30)))
 
 
+@pytest.mark.parametrize("args", [
+    ("payoff-curve", "--preset", "fig4", "--steps"),
+    ("verify", "--preset", "appendixK", "--c", "55", "--samples"),
+    ("verify", "--preset", "appendixK", "--c", "55", "--type-grid"),
+    ("verify", "--preset", "appendixK", "--c", "55", "--bid-grid"),
+    ("multi-lte", "optimize", "--preset", "fig11", "--samples"),
+    ("multi-lte", "payoff-curve", "--preset", "fig11", "--samples"),
+], ids=["payoff-curve-steps", "verify-samples", "verify-type-grid", "verify-bid-grid",
+        "multi-lte-optimize-samples", "multi-lte-payoff-curve-samples"])
+def test_cli_counts_no_array_can_hold_exit_2(capsys, args):
+    """Each used to exit 1 with "Maximum allowed size exceeded" or
+    "Maximum allowed dimension exceeded" from numpy. The count is refused
+    before anything is allocated; a count up to ``sys.maxsize`` that no
+    memory can hold is not checked."""
+    assert_config_error(*run_cli(capsys, *args, str(10**30)))
+
+
 @pytest.mark.parametrize("command, config", [
     ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
     ("optimize", {"market": dict(preset("appendixK")["market"], r_lte=HUGE)}),

@@ -1,12 +1,13 @@
 """The guarded reserve search both optimizers share, the closed-form
-payoff's single quadrature, and the CLI's refusal exit code."""
+payoff's cached payment table, and the CLI's refusal exit code."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from spectrum_auction import CertificationFailed
-from spectrum_auction import provider
+from spectrum_auction import CertificationFailed, TypeDistribution
+from spectrum_auction import numerics, provider
 from spectrum_auction.cli import main, parse_market
 from spectrum_auction.presets import preset
 from spectrum_auction.provider import _search_reserve, curve_point
@@ -47,13 +48,42 @@ def appendix_market():
     return parse_market(preset("appendixK"))
 
 
-def test_standard_regime_point_runs_one_quadrature(appendix_market, monkeypatch):
+def count_tables(monkeypatch):
+    """Count the panel-doubling quadratures, which only a payment table
+    build runs."""
     calls = []
-    quad = provider.simpson_with_doubling
-    monkeypatch.setattr(provider, "simpson_with_doubling",
+    quad = numerics.simpson_with_doubling
+    monkeypatch.setattr(numerics, "simpson_with_doubling",
                         lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    return calls
+
+
+def test_standard_regime_point_runs_no_quadrature_once_its_table_exists(appendix_market,
+                                                                      monkeypatch):
+    curve_point(appendix_market, 110.0)
+    calls = count_tables(monkeypatch)
+    passes = []
+    monkeypatch.setattr(numerics, "composite_simpson", lambda *a: passes.append(1))
     assert curve_point(appendix_market, 120.0).regime.kind.value == "standard"
+    assert (calls, passes) == ([], [])
+
+
+def test_a_table_is_built_once_per_law_k_and_budget(appendix_market, monkeypatch):
+    provider._payment_table.cache_clear()
+    calls = count_tables(monkeypatch)
+    assert curve_point(appendix_market, 45.0).regime.kind.value == "mid"
+    assert calls == []
+    other_delta = dataclasses.replace(appendix_market, delta_lte=0.2)
+    for c in (60.0, 120.0, 190.0, 250.0):
+        curve_point(appendix_market, c)
+        curve_point(other_delta, c)
     assert len(calls) == 1
+    curve_point(dataclasses.replace(appendix_market, r_lte=2.0 * appendix_market.r_lte), 120.0)
+    curve_point(dataclasses.replace(appendix_market, k=appendix_market.k + 1), 120.0)
+    curve_point(dataclasses.replace(appendix_market, dist=TypeDistribution.uniform(50, 200)),
+                120.0)
+    curve_point(appendix_market, 130.0)
+    assert len(calls) == 4
 
 
 class TestRefusalExitCodes:
