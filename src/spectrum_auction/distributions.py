@@ -6,9 +6,14 @@ erf based; sampling goes through the inverse CDF so that a fixed
 uniform draw always maps to the same rate (rejection sampling would
 break stream reproducibility).
 
-``scipy.special`` is imported on the first truncated-normal use, not
-with the module: the uniform law never needs it, and the import costs
-about 0.3 s per process.
+The standard normal law is computed here with numpy alone. ``_erf`` is
+a port of Cephes ``ndtr.c`` erf/erfc (Moshier), the code behind
+``scipy.special.erf``, with its coefficients and Horner order, so it
+returns scipy's bits. ``_ndtri`` is Wichura's AS241 (Applied Statistics
+37, 1988), vectorized from the stdlib's
+``statistics._normal_dist_inv_cdf`` and polished by one Newton step; it
+only aims the inverse-CDF jump, whose result the cdf check makes exact
+whatever the jump.
 """
 from __future__ import annotations
 
@@ -33,20 +38,201 @@ _INV_CDF_TOL = 1e-12
 # after replaying the others from the ndtri jump.
 _CDF_STEPS = 8
 
-_special = None  # scipy.special once _scipy_special() has imported it
+# Cephes ndtr.c coefficients, highest degree first. erf(x) is
+# x*T(x*x)/U(x*x) for |x| <= 1, else 1 - exp(-x*x)*P(|x|)/Q(|x|) with
+# the sign of x. Cephes's monic U and Q (p1evl) carry their leading 1.0
+# here. Cephes switches to other coefficients (R/S) for |x| >= 8 and
+# returns +-1 once exp(-x*x) underflows, but there erfc(|x|) < 1e-28 is
+# far below half an ulp of 1, so erf is +-1 either way: clamping |x| to
+# 8 gives the same bits without the branches.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_CLAMP = 8.0
+# Elements per pass of the array erf: its buffers stay this small.
+_ERF_CHUNK = 16384
+# Up to this many elements, a loop of _erf_float beats the array path's
+# fixed cost of some 25 numpy calls (0-d and one-element cdf calls).
+_ERF_LOOP_MAX = 32
+
+# AS241 coefficients, highest degree first: the central region
+# |p - 0.5| <= 0.425, then the tails with r = sqrt(-log(min(p, 1 - p)))
+# at or below 5 and above it.
+_AS241_A = ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+             4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+             1.3314166789178437745e+2, 3.3871328727963666080e+0),
+            (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+             2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+             4.2313330701600911252e+1, 1.0))
+_AS241_B = ((7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+             1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+             4.6303378461565452959e+0, 1.4234371107496835773e+0),
+            (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+             1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+             2.0531916266377588219e+0, 1.0))
+_AS241_C = ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+             2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+             5.4637849111641143699e+0, 6.6579046435011037772e+0),
+            (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+             7.8686913114561329059e-4, 1.4875361290850614852e-2, 1.3692988092273580531e-1,
+             5.9983220655588793769e-1, 1.0))
 
 
-def _scipy_special():
-    global _special
-    if _special is None:
-        from scipy import special
+def _horner(x, coefs, out=None):
+    """Cephes ``polevl`` of ``x`` (``p1evl`` for a leading 1.0): the
+    same operations in the same order, in place into ``out``."""
+    if coefs[0] == 1.0:
+        out = np.add(x, coefs[1], out)
+    else:
+        out = np.multiply(x, coefs[0], out)
+        np.add(out, coefs[1], out)
+    for c in coefs[2:]:
+        np.multiply(out, x, out)
+        np.add(out, c, out)
+    return out
 
-        _special = special
-    return _special
+
+def _libm_exp(x):
+    """``exp(x)`` with the C library's bits.
+
+    numpy's float64 ``exp`` is its own SIMD kernel, an ulp away from
+    libm's ``exp`` on a few percent of inputs, which moves erf off
+    Cephes's bits. Its complex ``exp`` calls libm ``cexp``, whose real
+    part for a zero imaginary part is libm ``exp(x) * cos(0)``: exactly
+    libm's ``exp``, at a fifth of the cost of a ``math.exp`` loop.
+    """
+    z = x.astype(np.complex128)
+    np.exp(z, out=z)
+    return z.real
 
 
-def _std_cdf(z):
-    return 0.5 * (1.0 + _scipy_special().erf(z / _SQRT2))
+def _erf_tail(x):
+    """erf of an array whose elements all have ``|x| > 1``: Cephes's
+    ``1 - erfc(|x|)`` with the sign of ``x``."""
+    a = np.abs(x)
+    np.minimum(a, _ERF_CLAMP, out=a)
+    z = np.multiply(a, a)
+    y = np.multiply(_libm_exp(np.negative(z, z)), _horner(a, _ERFC_P))
+    np.divide(y, _horner(a, _ERFC_Q, z), y)
+    np.subtract(1.0, y, y)
+    return np.copysign(y, x, y)
+
+
+def _erf(x, out=None):
+    """Error function of a float array, with ``scipy.special.erf``'s bits.
+
+    Works through ``x`` in chunks of at most ``_ERF_CHUNK`` elements with
+    reused buffers; ``out`` may be ``x`` itself. Every element first
+    takes ``x*T(z)/U(z)`` (odd in ``x``, so ``-0.0`` keeps its sign);
+    the ones with ``|x| > 1`` (``z > 1``) are then replaced by
+    :func:`_erf_tail`. Inputs of at most ``_ERF_LOOP_MAX`` elements go
+    through :func:`_erf_float`, which gives the same bits.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty_like(x)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    n = flat_x.size
+    if n <= _ERF_LOOP_MAX:
+        flat_out[:] = [_erf_float(v) for v in flat_x.tolist()]
+        return out
+    # Three buffers, not one block: a 3-row block of 10 000-point scans
+    # would cross glibc's 128 KiB mmap threshold and be mapped afresh.
+    z, num, den = (np.empty(min(n, _ERF_CHUNK)) for _ in range(3))
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, _ERF_CHUNK):
+            xs, os = flat_x[lo:lo + _ERF_CHUNK], flat_out[lo:lo + _ERF_CHUNK]
+            m = xs.size
+            zs = np.multiply(xs, xs, z[:m])
+            tail = np.flatnonzero(zs > 1.0)
+            x_tail = xs[tail]
+            np.multiply(xs, _horner(zs, _ERF_T, num[:m]), num[:m])
+            np.divide(num[:m], _horner(zs, _ERF_U, den[:m]), os)
+            if tail.size:
+                os[tail] = _erf_tail(x_tail)
+    return out
+
+
+def _erf_float(x: float) -> float:
+    """:func:`_erf` on a Python float: the same operations, with
+    ``math.exp`` as the libm exp. Each Horner loop starts from 0.0,
+    whose first step gives the leading coefficient exactly."""
+    z = x * x
+    if not z > 1.0:
+        t = u = 0.0
+        for c in _ERF_T:
+            t = t * z + c
+        for c in _ERF_U:
+            u = u * z + c
+        return x * t / u
+    a = min(abs(x), _ERF_CLAMP)
+    p = q = 0.0
+    for c in _ERFC_P:
+        p = p * a + c
+    for c in _ERFC_Q:
+        q = q * a + c
+    return math.copysign(1.0 - math.exp(-(a * a)) * p / q, x)
+
+
+def _ndtri(p):
+    """Standard normal quantile of a float array: -inf at 0, +inf at 1,
+    nan outside [0, 1] and for nan. Works in chunks, like :func:`_erf`.
+
+    AS241, then one Newton step where ``|p - 0.5| <= 0.425``, on the
+    residual ``0.5 * erf(x / sqrt 2) - (p - 0.5)``, which is accurate
+    there. AS241 alone is a few ulp off, and its jumps failed the
+    inverse-CDF check 17% more often than scipy's ndtri on criterion 3's
+    pool (299 against 255 of 4M); with the step, 249.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.empty_like(p)
+    flat_p, flat_x = p.reshape(-1), x.reshape(-1)
+    with np.errstate(all="ignore"):
+        for lo in range(0, flat_p.size, _ERF_CHUNK):
+            flat_x[lo:lo + _ERF_CHUNK] = _ndtri_chunk(flat_p[lo:lo + _ERF_CHUNK])
+    return x
+
+
+def _ndtri_chunk(p):
+    """:func:`_ndtri` of one chunk, under the caller's ``errstate``."""
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    mid, tail = np.flatnonzero(central), np.flatnonzero(~central)
+    x = np.empty_like(p)
+    qc = q[mid]
+    r = 0.180625 - qc * qc
+    xc = _horner(r, _AS241_A[0])
+    xc *= qc
+    xc /= _horner(r, _AS241_A[1])
+    step = _erf(xc / _SQRT2)
+    step *= 0.5
+    step -= qc
+    step /= _std_pdf(xc)
+    x[mid] = xc - step
+    p_tail, q_tail = p[tail], q[tail]
+    r = np.sqrt(-np.log(np.where(q_tail <= 0.0, p_tail, 1.0 - p_tail)))
+    far = r > 5.0
+    r = np.where(far, r - 5.0, r - 1.6)
+    xt = np.empty_like(r)
+    for pick, (num, den) in ((~far, _AS241_B), (far, _AS241_C)):
+        rs = r[pick]
+        xt[pick] = _horner(rs, num) / _horner(rs, den)
+    np.negative(xt, out=xt, where=q_tail < 0.0)
+    xt[p_tail == 0.0] = -math.inf
+    xt[p_tail == 1.0] = math.inf
+    x[tail] = xt
+    return x
+
+
+def _std_cdf(z: float) -> float:
+    return 0.5 * (1.0 + _erf_float(z / _SQRT2))
 
 
 def _std_pdf(z):
@@ -115,13 +301,13 @@ class TypeDistribution:
     @cached_property
     def _phi_lo(self) -> float:
         """Standard normal cdf at the standardized lower bound."""
-        return float(_std_cdf((self.r_min - self.mu) / self.sigma))
+        return _std_cdf((self.r_min - self.mu) / self.sigma)
 
     @cached_property
     def _mass(self) -> float:
         """Normal probability of ``[r_min, r_max]``."""
         hi = (self.r_max - self.mu) / self.sigma
-        return float(_std_cdf(hi) - self._phi_lo)
+        return _std_cdf(hi) - self._phi_lo
 
     @cached_property
     def _bisection_steps(self) -> int:
@@ -166,7 +352,7 @@ class TypeDistribution:
             if self.kind == UNIFORM:
                 z = (r - self.r_min) / self.span
             else:
-                z = float(_scipy_special().erf((r - self.mu) / self.sigma / _SQRT2))
+                z = _erf_float((r - self.mu) / self.sigma / _SQRT2)
                 z = ((z + 1.0) * 0.5 - self._phi_lo) / self._mass
             return min(max(z, 0.0), 1.0)
         r_arr = np.asarray(r, dtype=float)
@@ -182,7 +368,7 @@ class TypeDistribution:
         z = np.subtract(r, self.mu, out=out)
         z /= self.sigma
         z /= _SQRT2
-        z = _scipy_special().erf(z, out=out)
+        z = _erf(z, out=out)
         z += 1.0
         z *= 0.5
         z -= self._phi_lo
@@ -214,7 +400,7 @@ class TypeDistribution:
         the same to the bit.
         """
         p_arr = np.asarray(p, dtype=float)
-        if np.any((p_arr < 0.0) | (p_arr > 1.0)):
+        if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
         if self.kind == UNIFORM:
             out = self.r_min + p_arr * self.span
@@ -240,7 +426,7 @@ class TypeDistribution:
         ndtri jump, and whether the cdf confirms each one."""
         x = p * self._mass
         x += self._phi_lo
-        _scipy_special().ndtri(x, out=x)
+        x = _ndtri(x)
         x *= self.sigma
         x += self.mu
         np.copyto(x, self.r_min, where=~np.isfinite(x))

@@ -118,6 +118,12 @@ class TestInverseCdf:
         with pytest.raises(ValueError):
             trunc_normal.inverse_cdf(1.5)
 
+    @pytest.mark.parametrize("p", [math.nan, np.float64(math.nan), np.array([0.2, math.nan, 0.7])])
+    def test_rejects_nan_probability(self, trunc_normal, uniform_dist, p):
+        for dist in (trunc_normal, uniform_dist):
+            with pytest.raises(ValueError, match="must lie in"):
+                dist.inverse_cdf(p)
+
     @given(p=st.floats(min_value=0, max_value=1))
     @settings(max_examples=50)
     def test_values_in_support(self, trunc_normal, p):
