@@ -398,6 +398,12 @@ class TypeDistribution:
         separate ``x`` from its neighbours, as in a far tail, or
         ``p = 0``) runs the plain bisection on its own, so the result is
         the same to the bit.
+
+        The flattened ``p`` runs through that whole pipeline (jump,
+        replay, check, cdf steps, fallback) one block of ``_ERF_CHUNK``
+        elements at a time, so each of its hundreds of array passes works
+        on cache-resident buffers. Every step is elementwise, so the
+        blocks do not change a bit.
         """
         p_arr = np.asarray(p, dtype=float)
         if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # NaN fails too
@@ -405,7 +411,14 @@ class TypeDistribution:
         if self.kind == UNIFORM:
             out = self.r_min + p_arr * self.span
         else:
-            out = self._normal_inverse(p_arr.reshape(-1)).reshape(p_arr.shape)
+            flat = p_arr.reshape(-1)
+            if flat.size <= _ERF_CHUNK:  # one block: no output copy
+                out = self._normal_inverse(flat)
+            else:
+                out = np.empty_like(flat)
+                for lo in range(0, flat.size, _ERF_CHUNK):
+                    out[lo:lo + _ERF_CHUNK] = self._normal_inverse(flat[lo:lo + _ERF_CHUNK])
+            out = out.reshape(p_arr.shape)
         return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
 
     def _normal_inverse(self, p: np.ndarray) -> np.ndarray:

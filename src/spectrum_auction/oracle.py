@@ -95,19 +95,22 @@ def payments_for_types(cfg: MarketConfig, c: float, types: np.ndarray) -> np.nda
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    n = len(values)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def mc_expected_payoff(cfg: MarketConfig, c: float, n: int, rng: RngStream) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate (mean, standard error) of the
-    buyer's expected payoff at reserve ``c``."""
+    buyer's expected payoff at reserve ``c`` from ``n`` type rows, an
+    integer of at least 2 (a standard error needs two)."""
+    require_count("n", n, 2)
     return _mean_and_se(lte_payoffs_for_types(cfg, c, sample_type_matrix(cfg, n, rng)))
 
 
 def mc_expected_payment(cfg: MarketConfig, c: float, n: int, rng: RngStream) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the expected
-    allocated rate at reserve ``c``."""
+    allocated rate at reserve ``c``; ``n`` as for
+    :func:`mc_expected_payoff`."""
+    require_count("n", n, 2)
     return _mean_and_se(payments_for_types(cfg, c, sample_type_matrix(cfg, n, rng)))
 
 
@@ -138,6 +141,9 @@ class _OpponentPool:
     count ``t`` and the capped win payment ``w = min(c, m)`` matter.
     Sorting by ``m`` once lets every deviation's expected payoff be an
     affine function of own type, computed from prefix sums in O(log n).
+    The sort, with abstentions (+inf) last, also splits a deviation's
+    per-sample payoffs into three contiguous ranges: ``own_type`` where
+    ``m < d``, the tie share where ``m == d`` and ``w`` where ``m > d``.
     """
 
     def __init__(self, cfg: MarketConfig, c: float, opponent_bids: np.ndarray):
@@ -157,6 +163,11 @@ class _OpponentPool:
         self.csum_frac = np.concatenate([[0.0], np.cumsum(self.t / (self.t + 1.0))])
         self.n_abstain = int(np.isinf(self.m).sum())
 
+    def _tie_range(self, d: float) -> tuple[int, int]:
+        """Bounds of the samples whose lowest opposing bid equals ``d``."""
+        return (int(np.searchsorted(self.m, d, side="left")),
+                int(np.searchsorted(self.m, d, side="right")))
+
     def affine_payoff(self, d: float | None) -> tuple[float, float]:
         """Coefficients (a, b) with expected payoff a + b * own_type
         for deviation ``d`` (None = abstain)."""
@@ -164,8 +175,7 @@ class _OpponentPool:
         n = self.n
         if d is None:
             return 0.0, ((n - self.n_abstain) + kappa * self.n_abstain) / n
-        left = int(np.searchsorted(self.m, d, side="left"))
-        right = int(np.searchsorted(self.m, d, side="right"))
+        left, right = self._tie_range(d)
         win = (self.csum_w[n] - self.csum_w[right]) / n
         tie_a = d * (self.csum_inv[right] - self.csum_inv[left]) / n
         tie_b = (self.csum_frac[right] - self.csum_frac[left]) / n
@@ -173,15 +183,21 @@ class _OpponentPool:
         return win + tie_a, tie_b + lose_b
 
     def payoff_samples(self, d: float | None, own_type: float) -> np.ndarray:
-        """Exact per-sample payoffs of bidding ``d`` with ``own_type``."""
-        kappa = self.cfg.externality_share
+        """Exact per-sample payoffs of bidding ``d`` with ``own_type``,
+        written range by range into one array; the tie value
+        ``(m + t*own)/(t + 1)`` is computed on the tie range only."""
+        out = np.empty(self.n)
         if d is None:
-            return np.where(np.isinf(self.m), kappa * own_type, own_type)
-        return np.where(
-            self.m > d,
-            self.w,
-            np.where(self.m < d, own_type, (self.m + self.t * own_type) / (self.t + 1.0)),
-        )
+            split = self.n - self.n_abstain
+            out[:split] = own_type
+            out[split:] = self.cfg.externality_share * own_type
+            return out
+        left, right = self._tie_range(d)
+        out[:left] = own_type
+        t = self.t[left:right]
+        np.divide(self.m[left:right] + t * own_type, t + 1.0, out=out[left:right])
+        out[right:] = self.w[right:]
+        return out
 
 
 def equilibrium_strategy_map(cfg: MarketConfig, c: float) -> Strategy:
@@ -287,7 +303,8 @@ def best_response_check(
         own_samples = pool.payoff_samples(own, r)
         for idx in sorted(candidates):
             d = deviations[idx]
-            diff = pool.payoff_samples(d, r) - own_samples
+            diff = pool.payoff_samples(d, r)
+            diff -= own_samples
             gain = float(diff.mean())
             eps = 3.0 * float(diff.std(ddof=1) / math.sqrt(pool.n))
             if gain > max_gain:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from spectrum_auction import InvalidDistribution, RngStream, TypeDistribution
 from spectrum_auction.cli import parse_market
+from spectrum_auction.distributions import _ERF_CHUNK
 from spectrum_auction.oracle import sample_type_matrix
 from spectrum_auction.presets import preset
 
@@ -99,21 +100,62 @@ def test_edge_probabilities(law):
         assert_same_bits(dist.inverse_cdf(q), plain_bisection(dist, q))
 
 
-@pytest.mark.parametrize("law", FAR_TAIL_LAWS)
-def test_far_tail_takes_the_fallback_and_matches(law, monkeypatch):
-    dist = TypeDistribution.truncated_normal(*law)
+def spy_on_restarts(monkeypatch):
+    """Record the probabilities of every plain-bisection fallback."""
     restarted = []
     bisect = TypeDistribution._bisect
 
     def spy(self, lo, hi, p, steps, x=None):
         if steps == self._bisection_steps:
-            restarted.append(p.size)
+            restarted.append(p.copy())
         return bisect(self, lo, hi, p, steps, x)
 
     monkeypatch.setattr(TypeDistribution, "_bisect", spy)
+    return restarted
+
+
+@pytest.mark.parametrize("law", FAR_TAIL_LAWS)
+def test_far_tail_takes_the_fallback_and_matches(law, monkeypatch):
+    dist = TypeDistribution.truncated_normal(*law)
+    restarted = spy_on_restarts(monkeypatch)
     p = RngStream(5, 0).uniforms(20_000)
     assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
-    assert sum(restarted) > 10_000
+    assert sum(q.size for q in restarted) > 10_000
+
+
+@pytest.mark.parametrize("shape", [
+    (_ERF_CHUNK - 1,), (_ERF_CHUNK,), (_ERF_CHUNK + 1,), (2 * _ERF_CHUNK + 3,),
+    (_ERF_CHUNK // 3 + 5, 3),
+])
+def test_block_boundaries_match_plain_bisection(shape):
+    dist = TypeDistribution.truncated_normal(125.0, 50.0, 50.0, 200.0)
+    p = np.random.default_rng(sum(shape)).random(shape)
+    p.reshape(-1)[-4:] = EDGE_PROBABILITIES
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+    # a strided view of the same probabilities gives the same rates
+    assert_same_bits(dist.inverse_cdf(p.T), plain_bisection(dist, p).T)
+
+
+def test_fallback_runs_in_the_blocks_that_need_it(monkeypatch):
+    """A far-tail law whose fallback elements sit only in the second and
+    the last of four blocks: each of those blocks restarts its own
+    failed elements, the other two restart none."""
+    dist = TypeDistribution.truncated_normal(*FAR_TAIL_LAWS[0])
+    restarted = spy_on_restarts(monkeypatch)
+    candidates = np.linspace(0.0, 1.0, 4001)
+    dist.inverse_cdf(candidates)
+    failing = np.concatenate(restarted)
+    passing = np.setdiff1d(candidates, failing)
+    assert failing.size > 100 and passing.size > 100 and 0.0 in failing
+    n = 3 * _ERF_CHUNK + 5
+    p = np.resize(passing, n)
+    second, last = slice(_ERF_CHUNK + 7, _ERF_CHUNK + 7 + 50), slice(n - 5, n)
+    p[second], p[last] = failing[:50], failing[-5:]
+    restarted.clear()
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+    assert len(restarted) == 2
+    assert_same_bits(restarted[0], p[second])
+    assert_same_bits(restarted[1], p[last])
 
 
 def test_criterion_3_pool_matches_plain_bisection():

@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
 from spectrum_auction import (
     CertificationFailed,
+    MarketConfig,
     NoRootInInterval,
     RngStream,
 )
 from spectrum_auction.oracle import (
+    CertificationReport,
+    _OpponentPool,
     best_response_check,
+    equilibrium_strategy_map,
     lte_payoffs_for_types,
     mc_expected_payoff,
     mc_expected_payment,
@@ -73,6 +78,17 @@ class TestMonteCarloEstimators:
         assert 0.0 < mean < 55.0
         assert se > 0.0
 
+    @pytest.mark.parametrize("estimator", [mc_expected_payoff, mc_expected_payment])
+    @pytest.mark.parametrize("n", [0, 1, -3, True, 2.0, None])
+    def test_needs_two_samples_for_a_standard_error(self, market_k4, estimator, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimator(market_k4, 55.0, n, RngStream(0, 0))
+
+    @pytest.mark.parametrize("estimator", [mc_expected_payoff, mc_expected_payment])
+    def test_two_samples_give_a_standard_error(self, market_k4, estimator):
+        mean, se = estimator(market_k4, 55.0, np.int64(2), RngStream(0, 0))
+        assert math.isfinite(mean) and math.isfinite(se)
+
     def test_payoff_matrix_shape(self, market_k4):
         pool = sample_type_matrix(market_k4, 1000, RngStream(4, 0))
         assert pool.shape == (1000, 4)
@@ -132,3 +148,106 @@ class TestBestResponse:
             market_uniform_k2, 100.0, rng=RngStream(5, 7), **self.GRID
         )
         assert report.certified
+
+
+def nested_where_payoffs(pool, d, own_type):
+    """The per-sample payoff rule as two nested ``np.where`` over the
+    whole pool: the reference for the range-sliced ``payoff_samples``."""
+    kappa = pool.cfg.externality_share
+    if d is None:
+        return np.where(np.isinf(pool.m), kappa * own_type, own_type)
+    return np.where(
+        pool.m > d,
+        pool.w,
+        np.where(pool.m < d, own_type, (pool.m + pool.t * own_type) / (pool.t + 1.0)),
+    )
+
+
+def opponent_pool(cfg, c, samples=4000, seed=11):
+    types = sample_type_matrix(cfg, samples, RngStream(seed, 0), columns=cfg.k - 1)
+    return _OpponentPool(cfg, c, equilibrium_strategy_map(cfg, c)(types))
+
+
+class TestPayoffSamples:
+    OWN_TYPES = (50.0, 54.3, 120.0, 200.0)
+
+    def assert_matches(self, pool, deviations):
+        for d in deviations:
+            for own in self.OWN_TYPES:
+                got = pool.payoff_samples(d, own)
+                want = nested_where_payoffs(pool, d, own)
+                assert got.shape == want.shape == (pool.n,)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, own)
+
+    def test_standard_regime_pool(self, market_k4):
+        c = 55.0
+        pool = opponent_pool(market_k4, c)
+        finite = pool.m[np.isfinite(pool.m)]
+        # many opponents tie at the cap, some abstain, none bid below r_min
+        assert (pool.m == c).sum() > 100 and 0 < pool.n_abstain < pool.n
+        assert finite.min() >= 50.0 and finite.max() == c
+        inner = float(finite[len(finite) // 3])
+        self.assert_matches(pool, [
+            None, 0.0, 49.99, float(finite.min()), inner, c,
+            float(np.nextafter(c, math.inf)), 1e300,
+        ])
+
+    def test_all_abstain_pool(self, market_k4):
+        pool = opponent_pool(market_k4, 30.0)
+        assert pool.n_abstain == pool.n
+        self.assert_matches(pool, [None, 0.0, 15.0, 30.0])
+
+    def test_no_abstain_pool(self, market_k4):
+        c = 250.0
+        pool = opponent_pool(market_k4, c)
+        assert pool.n_abstain == 0
+        finite_max = float(pool.m[-1])
+        self.assert_matches(pool, [
+            None, 0.0, float(pool.m[0]), float(pool.m[pool.n // 2]), finite_max,
+            float(np.nextafter(finite_max, math.inf)), 225.0, c,
+        ])
+
+    def test_uniform_pool_with_exact_ties(self, uniform_dist):
+        # k = 5 uniform types bid the cap c = 80 on a whole band
+        cfg = MarketConfig(5, uniform_dist, 0.3, 0.4, 300.0)
+        pool = opponent_pool(cfg, 80.0, samples=3000, seed=12)
+        assert (pool.t > 1.0).any()
+        self.assert_matches(pool, [None, 50.0, 70.0, 80.0, 90.0])
+
+
+class TestCertificationPins:
+    """Outcomes recorded before the range-sliced per-sample payoffs and
+    the blocked inverse CDF; both must leave every bit as it was."""
+
+    def test_truncated_normal_k4_standard_report(self, market_k4):
+        report = best_response_check(market_k4, 55.0, samples=20_000, rng=RngStream(5, 0))
+        assert report == CertificationReport(
+            certified=True, max_gain=0.0, epsilon=0.0, worst_type=50.0,
+            worst_deviation=45.650000000000006, types_checked=50,
+            deviations_checked=102, samples=20_000,
+        )
+
+    def test_uniform_k3_standard_report(self, uniform_dist):
+        cfg = MarketConfig(3, uniform_dist, 0.3, 0.4, 300.0)
+        report = best_response_check(cfg, 120.0, samples=20_000, rng=RngStream(5, 7))
+        assert report == CertificationReport(
+            certified=True, max_gain=0.0, epsilon=0.0, worst_type=50.0,
+            worst_deviation=2.4, types_checked=50, deviations_checked=102,
+            samples=20_000,
+        )
+
+    @pytest.mark.parametrize("mutation, c, refusal", [
+        (mutated_abstain_in_cap_band, 55.0,
+         (56.12244897959184, 0.0, 8.113349916498871, 0.02504975442256683)),
+        (mutated_cap_bid_past_threshold, 55.0,
+         (56.12244897959184, None, 0.26727193877551036, 0.0005664779450968416)),
+        (mutated_mid_always_cap, 49.4, (50.0, None, 0.14999999999999858, 0.0)),
+    ])
+    def test_criterion_4_mutation_refusals(self, market_k4, mutation, c, refusal):
+        with pytest.raises(CertificationFailed) as err:
+            best_response_check(
+                market_k4, c, type_grid=50, bid_grid=101, samples=100_000,
+                rng=RngStream(2000, 0), strategy=mutation(market_k4, c),
+            )
+        e = err.value
+        assert (e.bidder_type, e.deviation, e.gain, e.epsilon) == refusal
