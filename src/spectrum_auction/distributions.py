@@ -37,6 +37,10 @@ _INV_CDF_TOL = 1e-12
 # Bisection steps the truncated-normal inverse CDF runs on the real cdf
 # after replaying the others from the ndtri jump.
 _CDF_STEPS = 8
+# The replayed bracket the cdf checks spans at least 2**_CHECK_ULP_BITS
+# ulps of r_max: a bracket only a few ulps wide does not pin bisection's
+# path, because the float cdf need not be monotone at that scale.
+_CHECK_ULP_BITS = 8
 
 # Cephes ndtr.c coefficients, highest degree first. erf(x) is
 # x*T(x*x)/U(x*x) for |x| <= 1, else 1 - exp(-x*x)*P(|x|)/Q(|x|) with
@@ -231,6 +235,13 @@ def _ndtri_chunk(p):
     return x
 
 
+def _dyadic(v: float) -> tuple[int, int]:
+    """``(m, e)`` with ``v == m * 2**e`` and ``m`` odd, or ``m == 0``."""
+    n, d = v.as_integer_ratio()
+    zeros = (n & -n).bit_length() - 1 if n else 0
+    return n >> zeros, zeros + 1 - d.bit_length()
+
+
 def _std_cdf(z: float) -> float:
     return 0.5 * (1.0 + _erf_float(z / _SQRT2))
 
@@ -313,6 +324,33 @@ class TypeDistribution:
     def _bisection_steps(self) -> int:
         return int(math.ceil(math.log2(self.span / _INV_CDF_TOL)))
 
+    @cached_property
+    def _replayed_steps(self) -> int:
+        """Bisection steps the inverse CDF replays from the ndtri jump:
+        all but the last ``_CDF_STEPS``, and none past the depth where a
+        bracket spans ``2**_CHECK_ULP_BITS`` ulps of ``r_max`` (the larger
+        end, as ``r_min >= 0``)."""
+        ulps = self.span / (2.0**_CHECK_ULP_BITS * math.ulp(self.r_max))
+        return max(min(self._bisection_steps - _CDF_STEPS, math.floor(math.log2(ulps))), 0)
+
+    @cached_property
+    def _exact_depth(self) -> int:
+        """Depth to which every bisection midpoint from ``[r_min, r_max]``
+        is exact.
+
+        With ``r_min = A * 2**e`` and ``r_max = B * 2**e`` (integers, not
+        both even), a depth-``d`` node is ``(A * 2**d + j * (B - A)) *
+        2**(e - d)``, an integer at most ``B * 2**d`` times a power of
+        two; below ``2**53`` it is a float, and so is the sum of two
+        depth-``(d - 1)`` nodes. Hence ``53 - B.bit_length()``, capped so
+        that ``2**(e - d)`` stays a float (``e - d >= -1074``), and 0 when
+        that is negative or when ``2 * r_max`` overflows.
+        """
+        (a, ea), (b, eb) = _dyadic(self.r_min), _dyadic(self.r_max)
+        e = min(ea, eb) if a else eb
+        depth = min(53 - (b << (eb - e)).bit_length(), e + 1074)
+        return depth if depth > 0 and math.isfinite(2.0 * self.r_max) else 0
+
     def pdf(self, r):
         """Density at ``r`` (1/Mbps); zero outside the support.
 
@@ -386,18 +424,29 @@ class TypeDistribution:
 
         Most of the steps are replayed without evaluating the cdf. Each
         element first jumps to ``x = mu + sigma * ndtri(Phi(lower) + p *
-        mass)``, close to the answer, and all but the last eight steps
-        decide ``mid < x`` in place of ``cdf(mid) < p``. Every replayed
+        mass)``, close to the answer, and the replayed steps decide
+        ``mid < x`` in place of ``cdf(mid) < p``. Every replayed
         midpoint ended at or below the bracket's ``lo`` or at or above
         its ``hi``. So if ``cdf(lo) < p`` and not ``cdf(hi) < p``, the
         monotone cdf gives each replayed midpoint the decision that
         bisection makes, and the bracket is the one bisection reaches.
         The support ends need no exemption: ``cdf`` is exactly 0 at
-        ``r_min`` and 1 at ``r_max``. The last eight steps evaluate the
-        cdf. An element that fails the check (a cdf too flat in float to
-        separate ``x`` from its neighbours, as in a far tail, or
-        ``p = 0``) runs the plain bisection on its own, so the result is
-        the same to the bit.
+        ``r_min`` and 1 at ``r_max``. The float cdf is monotone only
+        above the scale of a few ulps, so the replay stops where a
+        bracket still spans ``2**_CHECK_ULP_BITS`` ulps of ``r_max``
+        and leaves at least ``_CDF_STEPS`` (eight) steps, which evaluate
+        the cdf. ``[50, 200]`` replays 40 of its 48 steps (the ulp cap
+        is 44); ``[0, 1e6]`` replays 44 of 60. An element that fails the
+        check (a cdf too flat in float to separate ``x`` from its
+        neighbours, as in a far tail, or ``p = 0``) runs the plain
+        bisection on its own, so the result is the same to the bit.
+
+        The replay takes its first ``_exact_depth`` steps in one go: to
+        that depth every midpoint is exact, so the bracket is the grid
+        cell of ``x`` (see :meth:`_grid_brackets`). ``[50, 200]`` is
+        exact to depth 46, so none of its 40 replayed steps runs as a
+        loop; a support with an end such as 0.1 has depth 0 and loops
+        through them all.
 
         The flattened ``p`` runs through that whole pipeline (jump,
         replay, check, cdf steps, fallback) one block of ``_ERF_CHUNK``
@@ -423,7 +472,7 @@ class TypeDistribution:
 
     def _normal_inverse(self, p: np.ndarray) -> np.ndarray:
         steps = self._bisection_steps
-        replayed = max(steps - _CDF_STEPS, 0)
+        replayed = self._replayed_steps
         lo, hi, checked = self._replayed_brackets(p, replayed)
         out = self._bisect(lo, hi, p, steps - replayed)
         failed = ~checked
@@ -436,19 +485,55 @@ class TypeDistribution:
 
     def _replayed_brackets(self, p: np.ndarray, steps: int):
         """Brackets after ``steps`` bisection steps replayed from the
-        ndtri jump, and whether the cdf confirms each one."""
+        ndtri jump, and whether the cdf confirms each one. The first
+        ``min(steps, _exact_depth)`` steps are taken at once by
+        :meth:`_grid_brackets`."""
         x = p * self._mass
         x += self._phi_lo
         x = _ndtri(x)
         x *= self.sigma
         x += self.mu
         np.copyto(x, self.r_min, where=~np.isfinite(x))
-        lo = np.full_like(p, self.r_min)
-        hi = np.full_like(p, self.r_max)
-        self._bisect(lo, hi, p, steps, x)
+        depth = min(steps, self._exact_depth)
+        lo, hi = self._grid_brackets(x, depth)
+        if steps > depth:  # none left on [50, 200]: skip the buffers
+            self._bisect(lo, hi, p, steps - depth, x)
         checked = self._normal_cdf(lo, x) < p
         checked &= ~(self._normal_cdf(hi, x) < p)
         return lo, hi, checked
+
+    def _grid_brackets(self, x: np.ndarray, depth: int):
+        """The brackets that ``depth`` bisection steps deciding ``mid <
+        x`` reach from ``[r_min, r_max]``, for ``depth <= _exact_depth``.
+
+        There every midpoint is exact, so the depth-``depth`` nodes are
+        ``r_min + j * h`` with ``h = span / 2**depth``, in order, and the
+        steps end in the cell ``[r_min + j * h, r_min + (j + 1) * h]``
+        with the largest ``j`` whose node lies below ``x`` (0 if none).
+        The float quotient ``(x - r_min) / h`` puts ``j`` at most one off
+        (``depth <= 52``): down where its node is not below ``x``, up where
+        the next node is, and at most one of the two holds.
+        """
+        if depth == 0:
+            return np.full_like(x, self.r_min), np.full_like(x, self.r_max)
+        h = self.span / 2.0**depth
+        last = 2.0**depth - 1.0
+        j = np.subtract(x, self.r_min)
+        with np.errstate(over="ignore"):  # x far above r_max: clipped
+            j /= h
+        np.ceil(j, out=j)
+        j -= 1.0
+        np.clip(j, 0.0, last, out=j)
+        lo = np.multiply(j, h)
+        lo += self.r_min
+        hi = np.add(lo, h)
+        j -= lo >= x
+        j += hi < x
+        np.clip(j, 0.0, last, out=j)
+        np.multiply(j, h, out=lo)
+        lo += self.r_min
+        np.add(lo, h, out=hi)
+        return lo, hi
 
     def _bisect(self, lo, hi, p, steps, x=None) -> np.ndarray:
         """Run ``steps`` bisection steps on the brackets ``[lo, hi]`` in

@@ -226,6 +226,19 @@ class EquilibriumStrategy:
     r_t: float | None = None
     r_x: float | None = None
 
+    @property
+    def cutoff(self) -> float:
+        """Largest type that does not abstain: a finite type bids exactly
+        when it is at most this (-inf when every type abstains)."""
+        kind = self.regime.kind
+        if kind is RegimeKind.LOW:
+            return -math.inf
+        if kind is RegimeKind.MID:
+            return self.r_x
+        if kind is RegimeKind.STANDARD:
+            return max(self.c, self.r_t)
+        return math.inf
+
     def bid(self, r: float) -> Bid:
         """Bid of one type; the scalar view of :meth:`bid_values`."""
         v = float(self.bid_values(r))

@@ -34,6 +34,7 @@ from .equilibrium import (
     require_count,
     require_numbers,
     require_type,
+    solve_strategy,
 )
 from .errors import InfeasibleBid, InvalidProfile
 from .provider import OptimalReserve, _search_reserve
@@ -296,13 +297,13 @@ def expected_payoff_multi(
     A row's cooperation and price depend only on its two lowest virtual
     bids, which monotone bid maps take from its two lowest types of each
     group (see :func:`_type_pool`). A row cooperates when its lowest
-    shared seller or its lowest alone seller bids, and pays
-    ``min(c, q)`` with ``q`` priced once per pool (see
-    :func:`_row_values`). The estimate is bit-identical to one over the
-    full type matrix."""
+    shared seller bids or its lowest alone type is at most the alone
+    strategy's cutoff, and pays ``min(c, q)`` with ``q`` priced once per
+    pool (see :func:`_row_values`). The estimate is bit-identical to one
+    over the full type matrix."""
     require_samples(n)
     vs1, q, a1 = _row_values(cfg, n, seed)
-    coop = np.isfinite(bid_values_alone(cfg, c, a1))
+    coop = a1 <= solve_strategy(cfg.alone_market.sellers, c).cutoff
     coop |= vs1 <= c
     pay = np.minimum(c, q)
     np.subtract(cfg.r_lte, pay, out=pay)

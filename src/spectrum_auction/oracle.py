@@ -305,8 +305,11 @@ def best_response_check(
             d = deviations[idx]
             diff = pool.payoff_samples(d, r)
             diff -= own_samples
-            gain = float(diff.mean())
-            eps = 3.0 * float(diff.std(ddof=1) / math.sqrt(pool.n))
+            # numpy's mean and std(ddof=1), to the bit, with one mean.
+            gain = float(np.add.reduce(diff) / pool.n)
+            diff -= gain
+            diff *= diff
+            eps = 3.0 * (math.sqrt(float(np.add.reduce(diff)) / (pool.n - 1)) / math.sqrt(pool.n))
             if gain > max_gain:
                 max_gain = gain
                 worst = (r, d)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import (
@@ -11,6 +11,7 @@ from spectrum_auction import (
     MarketConfig,
     NonUniqueThreshold,
     RegimeKind,
+    TypeDistribution,
     bid,
     bid_values,
     classify_regime,
@@ -260,6 +261,39 @@ class TestBiddingStrategy:
         if not b_hi.is_abstain:
             assert not b_lo.is_abstain
             assert b_lo.rate <= b_hi.rate
+
+    @given(
+        k=st.integers(2, 6),
+        normal=st.booleans(),
+        eta=st.floats(0.1, 0.9),
+        regime=st.sampled_from(list(RegimeKind)),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cutoff_is_the_largest_bidding_type(self, k, normal, eta, regime, frac):
+        if normal:
+            dist = TypeDistribution.truncated_normal(125.0, 50.0, 50.0, 200.0)
+        else:
+            dist = TypeDistribution.uniform(50.0, 200.0)
+        cfg = MarketConfig(k, dist, eta, 0.4, 150.0)
+        low_cap, r_min, r_max = cfg.low_regime_cap, dist.r_min, dist.r_max
+        lo, hi = {
+            RegimeKind.LOW: (0.0, low_cap),
+            RegimeKind.MID: (low_cap, r_min),
+            RegimeKind.STANDARD: (r_min, r_max),
+            RegimeKind.HIGH: (r_max, 1.6 * r_max),
+        }[regime]
+        c = lo + frac * (hi - lo)
+        assume(classify_regime(cfg, c).kind is regime)
+        s = solve_strategy(cfg, c)
+        marks = [c, r_min, r_max] + [t for t in (s.r_x, s.r_t) if t is not None]
+        types = np.concatenate([
+            np.linspace(r_min, r_max, 301),
+            marks,
+            np.nextafter(marks, -math.inf),
+            np.nextafter(marks, math.inf),
+        ])
+        assert np.array_equal(np.isfinite(s.bid_values(types)), types <= s.cutoff)
 
     @given(
         r=st.floats(min_value=50, max_value=200),

@@ -2,9 +2,10 @@
 the bit.
 
 The fast path jumps close to the answer with ``ndtri``, replays most
-bisection steps without evaluating the cdf, checks the bracket it
-reached against the cdf, and sends every element that fails the check
-through the plain bisection. ``plain_bisection`` below is the loop the
+bisection steps without evaluating the cdf (as many as the support's
+exact depth at once, as a grid cell), checks the bracket it reached
+against the cdf, and sends every element that fails the check through
+the plain bisection. ``plain_bisection`` below is the loop the
 engine ran before, kept as the reference."""
 import math
 
@@ -42,16 +43,11 @@ def assert_same_bits(got, want):
     mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
     assert mismatched.size == 0, (
         f"{mismatched.size} of {want.size} differ, first at {mismatched[:5]}: "
-        f"{got.ravel()[mismatched[:5]]} vs {want.ravel()[mismatched[:5]]}"
+        f"{got.ravel()[mismatched[:5]].tolist()} vs {want.ravel()[mismatched[:5]].tolist()}"
     )
 
 
-@st.composite
-def truncated_normals(draw):
-    r_min = draw(st.floats(0.0, 500.0))
-    span = draw(st.floats(1e-3, 500.0))
-    r_max = r_min + span
-    sigma = draw(st.floats(0.05, 300.0))
+def normal_on(draw, r_min, r_max, sigma):
     # Up to 8 sigma outside the support: far tails where the float cdf
     # is a staircase and most elements take the fallback. Further out
     # the float mass is zero and the law is refused.
@@ -60,6 +56,25 @@ def truncated_normals(draw):
         return TypeDistribution.truncated_normal(mu, sigma, r_min, r_max)
     except InvalidDistribution:
         assume(False)
+
+
+@st.composite
+def truncated_normals(draw, top=500.0):
+    r_min = draw(st.floats(0.0, top))
+    r_max = r_min + draw(st.floats(1e-3, top))
+    return normal_on(draw, r_min, r_max, draw(st.floats(0.05, 0.6 * top)))
+
+
+@st.composite
+def dyadic_truncated_normals(draw):
+    """Laws on ``[A * 2**e, B * 2**e]``, whose first bisection levels
+    are exact: ``B`` of 1 to 53 bits puts the exact depth anywhere from
+    52 down to 0."""
+    e = draw(st.integers(-30, 10))
+    b = draw(st.integers(1, 2 ** draw(st.integers(1, 53)) - 1))
+    a = draw(st.integers(0, b - 1))
+    r_min, r_max = math.ldexp(a, e), math.ldexp(b, e)
+    return normal_on(draw, r_min, r_max, (r_max - r_min) * draw(st.floats(0.01, 10.0)))
 
 
 probabilities = st.one_of(
@@ -79,6 +94,96 @@ def test_arrays_match_plain_bisection(dist, seed, shape, extra):
         flat = p.reshape(-1)
         flat[: len(extra)] = extra[: flat.size]
     assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+@given(dist=dyadic_truncated_normals(), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(probabilities, max_size=6))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_dyadic_supports_match_plain_bisection(dist, seed, extra):
+    p = np.random.default_rng(seed).random(256)
+    p[: len(extra)] = extra
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+@given(dist=truncated_normals(top=1e9), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_wide_supports_match_plain_bisection(dist, seed):
+    p = np.random.default_rng(seed).random(2000)
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+@pytest.mark.parametrize("law", [(0.0, 1e6, 0.0, 1e6), (5e6, 2e6, 0.0, 1e7)])
+def test_wide_support_laws_match_plain_bisection(law):
+    """Supports where a bracket a few ulps of ``r_max`` wide would pass
+    the cdf check off bisection's path."""
+    dist = TypeDistribution.truncated_normal(*law)
+    p = RngStream(0, 0).uniforms(20_000)
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+def exact_tree_depth(r_min, r_max, cap):
+    """Depth, up to ``cap``, to which every midpoint ``0.5 * (lo + hi)``
+    of the bisection tree on ``[r_min, r_max]`` is exact."""
+    nodes = np.array([r_min, r_max])
+    with np.errstate(all="ignore"):
+        for depth in range(1, cap + 1):
+            a, b = nodes[:-1], nodes[1:]
+            s = a + b
+            # TwoSum: the rounding error of a + b, exactly
+            b_part = s - a
+            err = (a - (s - b_part)) + (b - b_part)
+            mid = 0.5 * s
+            if not (np.isfinite(s).all() and (err == 0.0).all() and (2.0 * mid == s).all()):
+                return depth - 1
+            nodes = np.insert(nodes, np.arange(1, nodes.size), mid)
+    return cap
+
+
+@pytest.mark.parametrize("support, depth", [((50.0, 200.0), 46), ((0.0, 60.0), 49), ((0.1, 1.37), 0)])
+def test_exact_depth(support, depth):
+    assert TypeDistribution.uniform(*support)._exact_depth == depth
+    assert TypeDistribution.truncated_normal(125.0, 50.0, *support)._exact_depth == depth
+
+
+@given(e=st.integers(-1100, 970), bits=st.integers(30, 53), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_depth_never_exceeds_the_midpoint_tree(e, bits, data):
+    b = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    a = data.draw(st.one_of(st.just(0), st.integers(0, b - 1)))
+    r_min, r_max = math.ldexp(a, e), math.ldexp(b, e)
+    assume(r_min < r_max)
+    depth = TypeDistribution.uniform(r_min, r_max)._exact_depth
+    assert 0 <= depth <= 52
+    assert min(depth, 18) <= exact_tree_depth(r_min, r_max, 18)
+
+
+@given(r_min=st.floats(0.0, 1e300), r_max=st.floats(1e-300, 1.7e308))
+@settings(max_examples=100, deadline=None)
+def test_exact_depth_of_any_float_support(r_min, r_max):
+    assume(r_min < r_max)
+    depth = TypeDistribution.uniform(r_min, r_max)._exact_depth
+    assert min(depth, 18) <= exact_tree_depth(r_min, r_max, 18)
+
+
+@pytest.mark.parametrize("support", [(50.0, 200.0), (0.0, 60.0), (0.25, 1.0), (3 * 2.0**-30, 7 * 2.0**-20)])
+def test_grid_brackets_equal_replayed_bisection(support):
+    dist = TypeDistribution.uniform(*support)
+    top = dist._exact_depth
+    r_min, r_max, span = dist.r_min, dist.r_max, dist.span
+    rng = np.random.default_rng(top)
+    for depth in sorted({0, 1, 2, 7, top // 2, top - 1, top}):
+        h = span / 2.0**depth
+        nodes = r_min + rng.integers(0, 2**depth, 200, endpoint=True) * h
+        x = np.concatenate([
+            rng.uniform(r_min, r_max, 2000),
+            nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf),
+            [r_min, r_max, r_min - span, r_max + span, 0.0, 1e300],
+        ])
+        lo, hi = dist._grid_brackets(x, depth)
+        want_lo, want_hi = np.full_like(x, r_min), np.full_like(x, r_max)
+        dist._bisect(want_lo, want_hi, x, depth, x)
+        assert_same_bits(lo, want_lo)
+        assert_same_bits(hi, want_hi)
 
 
 @given(dist=truncated_normals(), p=probabilities)
