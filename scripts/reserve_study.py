@@ -2,6 +2,7 @@
 """Optimal reserve rate against the seller count or the buyer
 throughput; emits a CSV with the active threshold type per optimum."""
 import argparse
+import math
 import sys
 
 from spectrum_auction import (
@@ -37,11 +38,11 @@ def main():
         market = MarketConfig(k, dist, args.eta, args.delta, float(r_lte))
         opt = optimize_reserve(market)
         strat = solve_strategy(market, opt.c_star)
-        threshold = strat.r_t if strat.r_t is not None else strat.r_x
+        threshold = strat.cutoff
         print(",".join([
             str(k), fmt9(float(r_lte)), fmt9(opt.c_star), str(opt.case),
             fmt9(opt.expected_payoff), strat.regime.kind.value,
-            "" if threshold is None else fmt9(threshold),
+            fmt9(threshold) if math.isfinite(threshold) else "",
         ]), file=out)
     if args.output:
         out.close()

@@ -186,8 +186,9 @@ def _erf_float(x: float) -> float:
 
 
 def _ndtri(p):
-    """Standard normal quantile of a float array: -inf at 0, +inf at 1,
-    nan outside [0, 1] and for nan. Works in chunks, like :func:`_erf`.
+    """Standard normal quantile of a 1-D float array: -inf at 0, +inf
+    at 1, nan outside [0, 1] and for nan. Its one caller passes a block
+    of at most ``_ERF_CHUNK`` elements.
 
     AS241, then one Newton step where ``|p - 0.5| <= 0.425``, on the
     residual ``0.5 * erf(x / sqrt 2) - (p - 0.5)``, which is accurate
@@ -196,42 +197,33 @@ def _ndtri(p):
     pool (299 against 255 of 4M); with the step, 249.
     """
     p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-    flat_p, flat_x = p.reshape(-1), x.reshape(-1)
     with np.errstate(all="ignore"):
-        for lo in range(0, flat_p.size, _ERF_CHUNK):
-            flat_x[lo:lo + _ERF_CHUNK] = _ndtri_chunk(flat_p[lo:lo + _ERF_CHUNK])
-    return x
-
-
-def _ndtri_chunk(p):
-    """:func:`_ndtri` of one chunk, under the caller's ``errstate``."""
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    mid, tail = np.flatnonzero(central), np.flatnonzero(~central)
-    x = np.empty_like(p)
-    qc = q[mid]
-    r = 0.180625 - qc * qc
-    xc = _horner(r, _AS241_A[0])
-    xc *= qc
-    xc /= _horner(r, _AS241_A[1])
-    step = _erf(xc / _SQRT2)
-    step *= 0.5
-    step -= qc
-    step /= _std_pdf(xc)
-    x[mid] = xc - step
-    p_tail, q_tail = p[tail], q[tail]
-    r = np.sqrt(-np.log(np.where(q_tail <= 0.0, p_tail, 1.0 - p_tail)))
-    far = r > 5.0
-    r = np.where(far, r - 5.0, r - 1.6)
-    xt = np.empty_like(r)
-    for pick, (num, den) in ((~far, _AS241_B), (far, _AS241_C)):
-        rs = r[pick]
-        xt[pick] = _horner(rs, num) / _horner(rs, den)
-    np.negative(xt, out=xt, where=q_tail < 0.0)
-    xt[p_tail == 0.0] = -math.inf
-    xt[p_tail == 1.0] = math.inf
-    x[tail] = xt
+        q = p - 0.5
+        central = np.abs(q) <= 0.425
+        mid, tail = np.flatnonzero(central), np.flatnonzero(~central)
+        x = np.empty_like(p)
+        qc = q[mid]
+        r = 0.180625 - qc * qc
+        xc = _horner(r, _AS241_A[0])
+        xc *= qc
+        xc /= _horner(r, _AS241_A[1])
+        step = _erf(xc / _SQRT2)
+        step *= 0.5
+        step -= qc
+        step /= _std_pdf(xc)
+        x[mid] = xc - step
+        p_tail, q_tail = p[tail], q[tail]
+        r = np.sqrt(-np.log(np.where(q_tail <= 0.0, p_tail, 1.0 - p_tail)))
+        far = r > 5.0
+        r = np.where(far, r - 5.0, r - 1.6)
+        xt = np.empty_like(r)
+        for pick, (num, den) in ((~far, _AS241_B), (far, _AS241_C)):
+            rs = r[pick]
+            xt[pick] = _horner(rs, num) / _horner(rs, den)
+        np.negative(xt, out=xt, where=q_tail < 0.0)
+        xt[p_tail == 0.0] = -math.inf
+        xt[p_tail == 1.0] = math.inf
+        x[tail] = xt
     return x
 
 
@@ -461,12 +453,9 @@ class TypeDistribution:
             out = self.r_min + p_arr * self.span
         else:
             flat = p_arr.reshape(-1)
-            if flat.size <= _ERF_CHUNK:  # one block: no output copy
-                out = self._normal_inverse(flat)
-            else:
-                out = np.empty_like(flat)
-                for lo in range(0, flat.size, _ERF_CHUNK):
-                    out[lo:lo + _ERF_CHUNK] = self._normal_inverse(flat[lo:lo + _ERF_CHUNK])
+            out = np.empty_like(flat)
+            for lo in range(0, flat.size, _ERF_CHUNK):
+                out[lo:lo + _ERF_CHUNK] = self._normal_inverse(flat[lo:lo + _ERF_CHUNK])
             out = out.reshape(p_arr.shape)
         return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
 
@@ -509,31 +498,37 @@ class TypeDistribution:
         There every midpoint is exact, so the depth-``depth`` nodes are
         ``r_min + j * h`` with ``h = span / 2**depth``, in order, and the
         steps end in the cell ``[r_min + j * h, r_min + (j + 1) * h]``
-        with the largest ``j`` whose node lies below ``x`` (0 if none).
-        The float quotient ``(x - r_min) / h`` puts ``j`` at most one off
-        (``depth <= 52``): down where its node is not below ``x``, up where
-        the next node is, and at most one of the two holds.
+        with the largest ``j`` whose node lies below ``x``: ``ceil(q) -
+        1`` for ``q = (x - r_min) / h``, clipped to ``[0, 2**depth - 1]``.
+        The float quotient gives that ``j`` exactly. With ``r_min = A *
+        2**e`` and ``r_max = B * 2**e`` as in :meth:`_exact_depth`, ``B <
+        2**(53 - depth)``. Take ``x`` in ``[r_min, r_max]`` with last-bit
+        weight ``u``, so ``x < 2**53 * u``:
+
+        * ``x - r_min`` is exact: a multiple of ``u`` below ``x`` when
+          ``u <= 2**e``, else a multiple of ``2**e`` below ``2**(53 + e)``;
+        * a quotient that rounds onto an integer ``j`` is ``j`` itself.
+          Rounding onto ``j`` needs ``|q - j| <= 2**-53 * j``, with
+          equality only for ``q > j`` at a power of two. A nonzero ``x -
+          r_min - j * h`` is a multiple of ``2**(e - depth)``, more than
+          ``2**-53 * span``, or of ``u < 2**(e - depth)``, more than
+          ``2**-53 * j * h`` unless ``q < j`` and ``j * h = 2**53 * u``.
+          So ``ceil`` sees the exact quotient;
+        * outside the support the rounded difference keeps its side, and
+          the clip gives the end cell.
         """
         if depth == 0:
             return np.full_like(x, self.r_min), np.full_like(x, self.r_max)
         h = self.span / 2.0**depth
-        last = 2.0**depth - 1.0
         j = np.subtract(x, self.r_min)
         with np.errstate(over="ignore"):  # x far above r_max: clipped
             j /= h
         np.ceil(j, out=j)
         j -= 1.0
-        np.clip(j, 0.0, last, out=j)
-        lo = np.multiply(j, h)
+        np.clip(j, 0.0, 2.0**depth - 1.0, out=j)
+        lo = np.multiply(j, h, out=j)
         lo += self.r_min
-        hi = np.add(lo, h)
-        j -= lo >= x
-        j += hi < x
-        np.clip(j, 0.0, last, out=j)
-        np.multiply(j, h, out=lo)
-        lo += self.r_min
-        np.add(lo, h, out=hi)
-        return lo, hi
+        return lo, np.add(lo, h)
 
     def _bisect(self, lo, hi, p, steps, x=None) -> np.ndarray:
         """Run ``steps`` bisection steps on the brackets ``[lo, hi]`` in

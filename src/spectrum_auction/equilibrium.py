@@ -1,16 +1,16 @@
 """Symmetric equilibrium bidding strategies for the single-buyer auction.
 
-Given the reserve rate ``c``, every seller maps its private type to a
-bid. The map's shape depends on which of four reserve-rate regimes
-``c`` falls in, delimited by ``L = ((k-1+eta)/k) * r_min``, ``r_min``
-and ``r_max``:
+Given the reserve rate ``c``, every seller bids ``min(type, c)`` up to
+an abstention cutoff and abstains above it (:func:`capped_bids`). The
+cutoff depends on which of four reserve-rate regimes ``c`` falls in,
+delimited by ``L = ((k-1+eta)/k) * r_min``, ``r_min`` and ``r_max``:
 
-* low (``c <= L``): every type abstains;
-* mid (``L < c < r_min``): types up to a threshold bid the reserve,
-  the rest abstain;
-* standard (``r_min <= c < r_max``): types up to ``c`` bid truthfully,
-  types up to a threshold bid the reserve, the rest abstain;
-* high (``c >= r_max``): every type bids truthfully.
+* low (``c <= L``): -inf, every type abstains;
+* mid (``L < c < r_min``): a threshold ``r_x``, so types up to it bid
+  the reserve;
+* standard (``r_min <= c < r_max``): a threshold ``r_t > c``, so types
+  up to ``c`` bid truthfully and types up to ``r_t`` bid the reserve;
+* high (``c >= r_max``): +inf, every type bids truthfully.
 
 The mid/standard thresholds are the unique roots of continuous
 residual functions, located by a sign scan plus bisection. If the scan
@@ -22,8 +22,8 @@ The equilibrium is seller-side: it depends on ``k``, the type law and
 discount. The threshold and strategy caches are keyed on
 ``(SellerMarket, c)``, and the engine passes ``cfg.sellers`` to them, so
 markets that differ only in ``r_lte`` or ``delta_lte`` share their
-solves. The solvers also accept a :class:`MarketConfig`, which is then
-its own cache key.
+solves. A :class:`MarketConfig` is a :class:`SellerMarket` too; passed
+to a solver, it is its own cache key.
 """
 from __future__ import annotations
 
@@ -112,6 +112,7 @@ class SellerMarket:
 
     @property
     def sellers(self) -> "SellerMarket":
+        """The seller side alone: this market itself."""
         return self
 
     @cached_property
@@ -127,18 +128,15 @@ class SellerMarket:
 
 
 @dataclass(frozen=True)
-class MarketConfig:
-    """Market primitives: seller count, type law, interference discounts
-    and the buyer's standalone throughput (Mbps)."""
+class MarketConfig(SellerMarket):
+    """A market: its seller side plus the buyer's interference discount
+    and standalone throughput (Mbps)."""
 
-    k: int
-    dist: TypeDistribution
-    eta_apo: float
     delta_lte: float
     r_lte: float
 
     def __post_init__(self):
-        self.sellers  # builds the seller side, which checks k, dist and eta_apo
+        super().__post_init__()
         require_numbers(self, "delta_lte", "r_lte")
         if not 0.0 < self.delta_lte < 1.0:
             raise ValueError("delta_lte must lie in (0, 1)")
@@ -147,20 +145,8 @@ class MarketConfig:
 
     @cached_property
     def sellers(self) -> SellerMarket:
-        """The seller side, on which the equilibrium depends."""
+        """The seller side alone, on which the equilibrium depends."""
         return SellerMarket(self.k, self.dist, self.eta_apo)
-
-    @property
-    def externality_share(self) -> float:
-        return self.sellers.externality_share
-
-    @property
-    def low_regime_cap(self) -> float:
-        return self.sellers.low_regime_cap
-
-
-# What the equilibrium functions accept: a market or its seller side.
-AnyMarket = MarketConfig | SellerMarket
 
 
 @dataclass(frozen=True)
@@ -212,6 +198,16 @@ class ReserveRegime:
     hi: float
 
 
+def capped_bids(types, c: float, cutoff: float) -> np.ndarray:
+    """The equilibrium's one bid rule, as a new array: ``min(type, c)``
+    for a type up to ``cutoff``, and abstention (+inf) above it or for
+    NaN. Every regime is this rule at its strategy's cutoff."""
+    types = np.asarray(types, dtype=float)
+    bids = np.minimum(types, c, out=np.empty_like(types))
+    np.copyto(bids, ABSTAIN_VALUE, where=~(types <= cutoff))
+    return bids
+
+
 @dataclass(frozen=True)
 class EquilibriumStrategy:
     """Regime-classified type-to-bid map for a fixed reserve rate.
@@ -245,23 +241,12 @@ class EquilibriumStrategy:
         return ABSTAIN if math.isinf(v) else Bid.of(v)
 
     def bid_values(self, types: np.ndarray) -> np.ndarray:
-        """Vectorized bid map; abstention encoded as +inf."""
-        types = np.asarray(types, dtype=float)
-        kind = self.regime.kind
-        if kind is RegimeKind.LOW:
-            return np.full_like(types, ABSTAIN_VALUE)
-        if kind is RegimeKind.MID:
-            return np.where(types <= self.r_x, self.c, ABSTAIN_VALUE)
-        if kind is RegimeKind.STANDARD:
-            return np.where(
-                types <= self.c,
-                types,
-                np.where(types <= self.r_t, self.c, ABSTAIN_VALUE),
-            )
-        return types.copy()
+        """Vectorized bid map, :func:`capped_bids` at this strategy's
+        cutoff; abstention encoded as +inf."""
+        return capped_bids(types, self.c, self.cutoff)
 
 
-def classify_regime(cfg: AnyMarket, c: float) -> ReserveRegime:
+def classify_regime(cfg: SellerMarket, c: float) -> ReserveRegime:
     """Regime containing reserve rate ``c``.
 
     Boundaries follow the interval conventions of the strategy map:
@@ -280,7 +265,7 @@ def classify_regime(cfg: AnyMarket, c: float) -> ReserveRegime:
     return ReserveRegime(RegimeKind.HIGH, r_max, math.inf)
 
 
-def _threshold_residual(cfg: AnyMarket, c: float, r, f_floor: float):
+def _threshold_residual(cfg: SellerMarket, c: float, r, f_floor: float):
     """Shared residual core.
 
     ``f_floor`` is the CDF value subtracted inside the binomial term:
@@ -330,7 +315,7 @@ def _threshold_residual(cfg: AnyMarket, c: float, r, f_floor: float):
     return total
 
 
-def threshold_residual_standard(cfg: AnyMarket, c: float, r):
+def threshold_residual_standard(cfg: SellerMarket, c: float, r):
     """Standard-regime threshold residual.
 
     Positive at ``r = c``, negative at ``r = r_max``; its unique root in
@@ -340,12 +325,12 @@ def threshold_residual_standard(cfg: AnyMarket, c: float, r):
     return _threshold_residual(cfg, c, r, float(cfg.dist.cdf(c)))
 
 
-def threshold_residual_mid(cfg: AnyMarket, c: float, r):
+def threshold_residual_mid(cfg: SellerMarket, c: float, r):
     """Mid-regime threshold residual; root lies in (r_min, r_max)."""
     return _threshold_residual(cfg, c, r, 0.0)
 
 
-def _solve_threshold(cfg: AnyMarket, c: float, lo: float, f_floor: float) -> float:
+def _solve_threshold(cfg: SellerMarket, c: float, lo: float, f_floor: float) -> float:
     """Root of the threshold residual with floor ``f_floor`` on
     ``[lo, r_max]``: sign check, uniqueness scan, then bisection. The
     caller computes the floor once per solve."""
@@ -380,7 +365,7 @@ def _solve_threshold(cfg: AnyMarket, c: float, lo: float, f_floor: float) -> flo
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def solve_threshold_standard(cfg: AnyMarket, c: float) -> float:
+def solve_threshold_standard(cfg: SellerMarket, c: float) -> float:
     """Abstention threshold for a standard-regime reserve rate.
 
     The root lies in ``(c, r_max)``; raises NonUniqueThreshold when the
@@ -394,7 +379,7 @@ def solve_threshold_standard(cfg: AnyMarket, c: float) -> float:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def solve_threshold_mid(cfg: AnyMarket, c: float) -> float:
+def solve_threshold_mid(cfg: SellerMarket, c: float) -> float:
     """Abstention threshold for a mid-regime reserve rate; root in
     ``(r_min, r_max)``."""
     regime = classify_regime(cfg, c)
@@ -404,7 +389,7 @@ def solve_threshold_mid(cfg: AnyMarket, c: float) -> float:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def solve_strategy(cfg: AnyMarket, c: float) -> EquilibriumStrategy:
+def solve_strategy(cfg: SellerMarket, c: float) -> EquilibriumStrategy:
     """Equilibrium strategy at reserve ``c``, thresholds included.
 
     Memoized on ``(cfg, c)``: the reserve-rate optimizer evaluates the

@@ -16,10 +16,10 @@ import numpy as np
 from .auction import second_price_rows
 from .distributions import UNIFORM
 from .equilibrium import (
-    ABSTAIN_VALUE,
     MarketConfig,
     RegimeKind,
     bid_values,
+    capped_bids,
     classify_regime,
     require_count,
 )
@@ -204,43 +204,30 @@ def equilibrium_strategy_map(cfg: MarketConfig, c: float) -> Strategy:
     return lambda types: bid_values(cfg, c, types)
 
 
+def _mutation(cfg: MarketConfig, c: float, kind: RegimeKind, cutoff: float) -> Strategy:
+    """The capped bid rule at reserve ``c`` with its cutoff moved to
+    ``cutoff``; defined for reserves in the ``kind`` regime."""
+    if classify_regime(cfg, c).kind is not kind:
+        raise ValueError(f"mutation defined for {kind.value}-regime reserves")
+    return lambda types: capped_bids(types, c, cutoff)
+
+
 def mutated_abstain_in_cap_band(cfg: MarketConfig, c: float) -> Strategy:
     """Standard-regime mutation: types that should bid the reserve
     abstain instead (the would-be cap band empties out)."""
-    if classify_regime(cfg, c).kind is not RegimeKind.STANDARD:
-        raise ValueError("mutation defined for standard-regime reserves")
-
-    def strat(types: np.ndarray) -> np.ndarray:
-        types = np.asarray(types, dtype=float)
-        return np.where(types <= c, types, ABSTAIN_VALUE)
-
-    return strat
+    return _mutation(cfg, c, RegimeKind.STANDARD, c)
 
 
 def mutated_cap_bid_past_threshold(cfg: MarketConfig, c: float) -> Strategy:
     """Standard-regime mutation: types that should abstain bid the
     reserve instead (nobody ever abstains)."""
-    if classify_regime(cfg, c).kind is not RegimeKind.STANDARD:
-        raise ValueError("mutation defined for standard-regime reserves")
-
-    def strat(types: np.ndarray) -> np.ndarray:
-        types = np.asarray(types, dtype=float)
-        return np.where(types <= c, types, c)
-
-    return strat
+    return _mutation(cfg, c, RegimeKind.STANDARD, math.inf)
 
 
 def mutated_mid_always_cap(cfg: MarketConfig, c: float) -> Strategy:
     """Mid-regime mutation: every type bids the reserve, ignoring the
     abstention threshold."""
-    if classify_regime(cfg, c).kind is not RegimeKind.MID:
-        raise ValueError("mutation defined for mid-regime reserves")
-
-    def strat(types: np.ndarray) -> np.ndarray:
-        types = np.asarray(types, dtype=float)
-        return np.full_like(types, c)
-
-    return strat
+    return _mutation(cfg, c, RegimeKind.MID, math.inf)
 
 
 def require_grids(samples: int, type_grid: int, bid_grid: int) -> None:

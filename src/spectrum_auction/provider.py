@@ -20,14 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import TypeDistribution
-from .equilibrium import (
-    MarketConfig,
-    RegimeKind,
-    ReserveRegime,
-    classify_regime,
-    solve_threshold_mid,
-    solve_threshold_standard,
-)
+from .equilibrium import MarketConfig, ReserveRegime, solve_strategy
 from .numerics import CumulativeSimpson, golden_section_max, has_interior_dip
 
 QUAD_START_PANELS = 2048
@@ -93,24 +86,16 @@ def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
     ``c`` under equilibrium bidding.
 
     In every regime, types up to ``min(c, r_max)`` bid truthfully, types
-    up to an abstention threshold ``t`` bid ``c`` and the rest abstain:
-    ``t`` is ``r_min`` in the low regime, ``r_x`` in the mid, ``r_t`` in
-    the standard and ``r_max`` in the high regime. The payment (the rate
-    allocated to the winning seller, zero when no one wins) is a
-    quadrature of the second-lowest-type payment below ``c`` plus ``c``
-    times the probability that some seller sells while at most one type
-    lies below ``c``. The payoff is continuous in ``c``.
+    up to the strategy's cutoff bid ``c`` and the rest abstain. The
+    payment (the rate allocated to the winning seller, zero when no one
+    wins) is a quadrature of the second-lowest-type payment below ``c``
+    plus ``c`` times the probability that some seller sells while at
+    most one type lies below ``c``. The payoff is continuous in ``c``.
     """
     dist = cfg.dist
     r = cfg.r_lte
-    regime = classify_regime(cfg, c)
-    if regime.kind is RegimeKind.MID:
-        t = solve_threshold_mid(cfg.sellers, c)
-    elif regime.kind is RegimeKind.STANDARD:
-        t = solve_threshold_standard(cfg.sellers, c)
-    else:
-        t = dist.r_min if regime.kind is RegimeKind.LOW else dist.r_max
-    none_sells = (1.0 - dist.cdf(t)) ** cfg.k
+    strategy = solve_strategy(cfg.sellers, c)
+    none_sells = (1.0 - dist.cdf(strategy.cutoff)) ** cfg.k
     f_c = dist.cdf(c)
     payment = (
         _second_lowest_integral(cfg, c)
@@ -118,7 +103,7 @@ def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
         + c * ((1.0 - f_c) ** cfg.k - none_sells)
     )
     payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * r - payment
-    return PayoffCurvePoint(c, payoff, regime, payment)
+    return PayoffCurvePoint(c, payoff, strategy.regime, payment)
 
 
 def expected_payment(cfg: MarketConfig, c: float) -> float:

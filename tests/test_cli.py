@@ -47,6 +47,15 @@ class TestEquilibrium:
         assert payload["regime"] == "mid"
         assert abs(payload["r_x"] - 59.3) < 0.1
 
+    @pytest.mark.parametrize("c, regime", [("20", "low"), ("250", "high")])
+    def test_regimes_without_a_threshold(self, capsys, c, regime):
+        code, out, _ = run_cli(capsys, "equilibrium", "--preset", "appendixK", "--c", c)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == regime
+        assert "r_t" not in payload and "r_x" not in payload
+        assert payload["breakpoints"] == [50.0, 200.0]
+
     def test_missing_reserve_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "equilibrium", "--preset", "appendixK")
         assert code == 2

@@ -293,7 +293,20 @@ class TestBiddingStrategy:
             np.nextafter(marks, -math.inf),
             np.nextafter(marks, math.inf),
         ])
-        assert np.array_equal(np.isfinite(s.bid_values(types)), types <= s.cutoff)
+        bids = s.bid_values(types)
+        assert np.array_equal(np.isfinite(bids), types <= s.cutoff)
+        assert np.array_equal(bids[np.isfinite(bids)], np.minimum(types, c)[types <= s.cutoff])
+
+    @given(
+        c=st.floats(min_value=0, max_value=400),
+        types=st.lists(st.floats(min_value=0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_numeric_bid_is_at_most_the_reserve(self, market_k4, c, types):
+        """For any non-negative input, the auction's own rule holds: no
+        numeric bid exceeds the reserve (a type above ``r_max`` too)."""
+        bids = solve_strategy(market_k4, c).bid_values(np.array(types))
+        assert (bids[np.isfinite(bids)] <= c).all()
 
     @given(
         r=st.floats(min_value=50, max_value=200),

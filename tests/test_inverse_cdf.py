@@ -165,25 +165,47 @@ def test_exact_depth_of_any_float_support(r_min, r_max):
     assert min(depth, 18) <= exact_tree_depth(r_min, r_max, 18)
 
 
-@pytest.mark.parametrize("support", [(50.0, 200.0), (0.0, 60.0), (0.25, 1.0), (3 * 2.0**-30, 7 * 2.0**-20)])
-def test_grid_brackets_equal_replayed_bisection(support):
-    dist = TypeDistribution.uniform(*support)
+def assert_grid_brackets_match_bisection(dist, rng):
+    """``_grid_brackets`` equals ``depth`` replayed bisection steps at
+    depths up to ``_exact_depth``, for ``x`` uniform on the support, on
+    depth-``depth`` nodes and their ``nextafter`` neighbours, at the
+    ends and outside the support."""
     top = dist._exact_depth
     r_min, r_max, span = dist.r_min, dist.r_max, dist.span
-    rng = np.random.default_rng(top)
-    for depth in sorted({0, 1, 2, 7, top // 2, top - 1, top}):
+    for depth in sorted(d for d in {0, 1, 2, 7, top // 2, top - 1, top} if 0 <= d <= top):
         h = span / 2.0**depth
         nodes = r_min + rng.integers(0, 2**depth, 200, endpoint=True) * h
-        x = np.concatenate([
-            rng.uniform(r_min, r_max, 2000),
-            nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf),
-            [r_min, r_max, r_min - span, r_max + span, 0.0, 1e300],
-        ])
+        with np.errstate(over="ignore"):
+            x = np.concatenate([
+                rng.uniform(r_min, r_max, 2000),
+                nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf),
+                [r_min, r_max, r_min - span, r_max + span, 0.0, 1e300],
+            ])
         lo, hi = dist._grid_brackets(x, depth)
         want_lo, want_hi = np.full_like(x, r_min), np.full_like(x, r_max)
         dist._bisect(want_lo, want_hi, x, depth, x)
         assert_same_bits(lo, want_lo)
         assert_same_bits(hi, want_hi)
+
+
+@pytest.mark.parametrize("support", [(50.0, 200.0), (0.0, 60.0), (0.25, 1.0), (3 * 2.0**-30, 7 * 2.0**-20)])
+def test_grid_brackets_equal_replayed_bisection(support):
+    dist = TypeDistribution.uniform(*support)
+    assert_grid_brackets_match_bisection(dist, np.random.default_rng(dist._exact_depth))
+
+
+@given(e=st.integers(-1100, 970), bits=st.integers(1, 53), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_grid_brackets_equal_replayed_bisection_on_dyadic_supports(e, bits, data, seed):
+    """As above on ``[A * 2**e, B * 2**e]`` with ``B`` of 1 to 53 bits:
+    the float index ``ceil((x - r_min) / h) - 1`` is exact without a
+    correction, subnormal cells included."""
+    b = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    a = data.draw(st.one_of(st.just(0), st.integers(0, b - 1)))
+    r_min, r_max = math.ldexp(a, e), math.ldexp(b, e)
+    assume(r_min < r_max)
+    assert_grid_brackets_match_bisection(TypeDistribution.uniform(r_min, r_max),
+                                         np.random.default_rng(seed))
 
 
 @given(dist=truncated_normals(), p=probabilities)

@@ -157,8 +157,7 @@ def pool_reserve(cfg, pool, i, source):
     vs1, vs2 = cfg.eta_apo * pool[:2, i] + cfg.shared_offset
     a1, a2 = pool[2:, i]
     if source == "threshold":
-        strategy = solve_strategy(cfg.alone_market.sellers, float(a1))
-        return strategy.r_t if strategy.r_t is not None else strategy.r_x
+        return solve_strategy(cfg.alone_market.sellers, float(a1)).cutoff
     values = {"vs1": vs1, "vs2": vs2, "a1": a1, "a2": a2}
     values["q"] = sorted(values.values())[1]
     return float(values[source])
