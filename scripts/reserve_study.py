@@ -41,7 +41,7 @@ def main():
         threshold = strat.cutoff
         print(",".join([
             str(k), fmt9(float(r_lte)), fmt9(opt.c_star), str(opt.case),
-            fmt9(opt.expected_payoff), strat.regime.kind.value,
+            fmt9(opt.expected_payoff), strat.regime.value,
             fmt9(threshold) if math.isfinite(threshold) else "",
         ]), file=out)
     if args.output:

@@ -18,7 +18,6 @@ from .equilibrium import (
     EquilibriumStrategy,
     MarketConfig,
     RegimeKind,
-    ReserveRegime,
     SellerMarket,
     bid,
     bid_values,

@@ -8,12 +8,13 @@ constructors and ``require_*`` functions check the values, and a value
 they refuse is a config error. ``load_config`` sets each given flag
 over its config key.
 
-Exit codes: 0 success, 2 config error, 3 refusal (non-unique threshold
-or failed certification). Errors print one machine-readable JSON line
-to stderr. All numeric output carries 9 significant digits. Each action
-accepts only the flags it reads; an unknown flag is a usage error
-(exit 2). ``--workers`` is still checked (an integer >= 1) but has no
-effect: every experiment runs in this process.
+Exit codes: 0 success, 2 config error or a count whose arrays do not
+fit in memory, 3 refusal (non-unique threshold or failed
+certification). Errors print one machine-readable JSON line to stderr.
+All numeric output carries 9 significant digits. Each action accepts
+only the flags it reads; an unknown flag is a usage error (exit 2).
+``--workers`` is still checked (an integer >= 1) but has no effect:
+every experiment runs in this process.
 """
 from __future__ import annotations
 
@@ -185,22 +186,15 @@ def cmd_equilibrium(args) -> int:
     cfg = load_config(args)
     market = parse_market(cfg)
     strat = solve_strategy(market, _reserve_arg(args, cfg))
-    kind = strat.regime.kind
-    breakpoints = [market.dist.r_min]
-    if kind is RegimeKind.MID:
-        breakpoints.append(strat.r_x)
-    elif kind is RegimeKind.STANDARD:
-        breakpoints.extend([strat.c, strat.r_t])
-    breakpoints.append(market.dist.r_max)
-    out = {
-        "regime": strat.regime.kind.value,
-        "c": strat.c,
-        "breakpoints": breakpoints,
-    }
-    if strat.r_t is not None:
-        out["r_t"] = strat.r_t
-    if strat.r_x is not None:
-        out["r_x"] = strat.r_x
+    out = {"regime": strat.regime.value, "c": strat.c}
+    inner = []
+    if strat.regime is RegimeKind.MID:
+        inner = [strat.cutoff]
+        out["r_x"] = strat.cutoff
+    elif strat.regime is RegimeKind.STANDARD:
+        inner = [strat.c, strat.cutoff]
+        out["r_t"] = strat.cutoff
+    out["breakpoints"] = [market.dist.r_min, *inner, market.dist.r_max]
     _emit_json(out, args.output)
     return 0
 
@@ -232,7 +226,7 @@ def cmd_payoff_curve(args) -> int:
             (
                 fmt9(point.c),
                 fmt9(point.expected_payoff),
-                point.regime.kind.value,
+                point.regime.value,
                 fmt9(point.expected_payment),
             )
         )
@@ -456,6 +450,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": "io", "message": str(exc)}) + "\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(json.dumps({"error": "memory", "message": str(exc)}) + "\n")
         return 2
     except SpectrumAuctionError as exc:
         sys.stderr.write(

@@ -1,21 +1,25 @@
 """Symmetric equilibrium bidding strategies for the single-buyer auction.
 
 Given the reserve rate ``c``, every seller bids ``min(type, c)`` up to
-an abstention cutoff and abstains above it (:func:`capped_bids`). The
-cutoff depends on which of four reserve-rate regimes ``c`` falls in,
-delimited by ``L = ((k-1+eta)/k) * r_min``, ``r_min`` and ``r_max``:
+an abstention cutoff and abstains above it (:func:`capped_bids`). A
+strategy is its regime, ``c`` and that cutoff. The regime is one of
+four, delimited by ``L = ((k-1+eta)/k) * r_min``, ``r_min`` and
+``r_max``:
 
-* low (``c <= L``): -inf, every type abstains;
-* mid (``L < c < r_min``): a threshold ``r_x``, so types up to it bid
-  the reserve;
-* standard (``r_min <= c < r_max``): a threshold ``r_t > c``, so types
-  up to ``c`` bid truthfully and types up to ``r_t`` bid the reserve;
-* high (``c >= r_max``): +inf, every type bids truthfully.
+* low (``c <= L``): cutoff -inf, every type abstains;
+* mid (``L < c < r_min``): the threshold, so types up to it bid the
+  reserve;
+* standard (``r_min <= c < r_max``): the threshold, which is at least
+  ``c``, so types up to ``c`` bid truthfully and types up to the
+  threshold bid the reserve;
+* high (``c >= r_max``): cutoff +inf, every type bids truthfully.
 
-The mid/standard thresholds are the unique roots of continuous
-residual functions, located by a sign scan plus bisection. If the scan
-finds more than one root the engine refuses rather than selecting an
-equilibrium arbitrarily.
+The mid and standard thresholds are roots of one indifference equation,
+:func:`threshold_residual`, on ``[max(c, r_min), r_max]`` with the
+floor ``F(max(c, r_min))``: ``F(c)`` in the standard regime and 0 in
+the mid one, where no type lies below the reserve. A sign scan plus
+bisection locates the root; if the scan finds more than one the engine
+refuses rather than selecting an equilibrium arbitrarily.
 
 The equilibrium is seller-side: it depends on ``k``, the type law and
 ``eta`` (a :class:`SellerMarket`), not on the buyer's throughput or its
@@ -189,15 +193,6 @@ class RegimeKind(Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class ReserveRegime:
-    """One of the four reserve-rate regimes with its interval bounds."""
-
-    kind: RegimeKind
-    lo: float
-    hi: float
-
-
 def capped_bids(types, c: float, cutoff: float) -> np.ndarray:
     """The equilibrium's one bid rule, as a new array: ``min(type, c)``
     for a type up to ``cutoff``, and abstention (+inf) above it or for
@@ -208,32 +203,16 @@ def capped_bids(types, c: float, cutoff: float) -> np.ndarray:
     return bids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumStrategy:
-    """Regime-classified type-to-bid map for a fixed reserve rate.
+    """Type-to-bid map for a fixed reserve rate: its regime, the reserve
+    ``c`` and ``cutoff``, the largest type that does not abstain (-inf
+    in the low regime, the threshold in the mid and standard ones, +inf
+    in the high one)."""
 
-    ``r_t`` is the abstention threshold in the standard regime,
-    ``r_x`` the one in the mid regime; thresholds not applicable to the
-    regime are None.
-    """
-
-    regime: ReserveRegime
+    regime: RegimeKind
     c: float
-    r_t: float | None = None
-    r_x: float | None = None
-
-    @property
-    def cutoff(self) -> float:
-        """Largest type that does not abstain: a finite type bids exactly
-        when it is at most this (-inf when every type abstains)."""
-        kind = self.regime.kind
-        if kind is RegimeKind.LOW:
-            return -math.inf
-        if kind is RegimeKind.MID:
-            return self.r_x
-        if kind is RegimeKind.STANDARD:
-            return max(self.c, self.r_t)
-        return math.inf
+    cutoff: float
 
     def bid(self, r: float) -> Bid:
         """Bid of one type; the scalar view of :meth:`bid_values`."""
@@ -246,7 +225,7 @@ class EquilibriumStrategy:
         return capped_bids(types, self.c, self.cutoff)
 
 
-def classify_regime(cfg: SellerMarket, c: float) -> ReserveRegime:
+def classify_regime(cfg: SellerMarket, c: float) -> RegimeKind:
     """Regime containing reserve rate ``c``.
 
     Boundaries follow the interval conventions of the strategy map:
@@ -254,24 +233,21 @@ def classify_regime(cfg: SellerMarket, c: float) -> ReserveRegime:
     """
     if not c >= 0.0:
         raise ValueError("reserve rate must be >= 0")
-    low_cap = cfg.low_regime_cap
-    r_min, r_max = cfg.dist.r_min, cfg.dist.r_max
-    if c <= low_cap:
-        return ReserveRegime(RegimeKind.LOW, 0.0, low_cap)
-    if c < r_min:
-        return ReserveRegime(RegimeKind.MID, low_cap, r_min)
-    if c < r_max:
-        return ReserveRegime(RegimeKind.STANDARD, r_min, r_max)
-    return ReserveRegime(RegimeKind.HIGH, r_max, math.inf)
+    if c <= cfg.low_regime_cap:
+        return RegimeKind.LOW
+    if c < cfg.dist.r_min:
+        return RegimeKind.MID
+    if c < cfg.dist.r_max:
+        return RegimeKind.STANDARD
+    return RegimeKind.HIGH
 
 
 def _threshold_residual(cfg: SellerMarket, c: float, r, f_floor: float):
-    """Shared residual core.
+    """The residual of :func:`threshold_residual` with its floor
+    ``f_floor`` given.
 
-    ``f_floor`` is the CDF value subtracted inside the binomial term:
-    F(c) for the standard regime, 0 for the mid regime. A ``float``
-    ``r`` (the bisection's) stays a Python float throughout, and an
-    array ``r`` (the uniqueness scan's) is computed in six reused
+    A ``float`` ``r`` (the bisection's) stays a Python float throughout,
+    and an array ``r`` (the uniqueness scan's) is computed in six reused
     buffers. Both paths run the same IEEE operations in the same order,
     ``((comb * mass**n) * surv**(k-1-n)) * (c-r) / (n+1)`` per term, and
     ``**`` is the libm ``pow`` on Python floats and in ``np.power``.
@@ -315,26 +291,25 @@ def _threshold_residual(cfg: SellerMarket, c: float, r, f_floor: float):
     return total
 
 
-def threshold_residual_standard(cfg: SellerMarket, c: float, r):
-    """Standard-regime threshold residual.
+def threshold_residual(cfg: SellerMarket, c: float, r):
+    """Indifference residual of the threshold type ``r`` at reserve
+    ``c``, for the mid and standard regimes alike.
 
-    Positive at ``r = c``, negative at ``r = r_max``; its unique root in
-    between is the type above which sellers abstain. Accepts scalar or
-    ndarray ``r``.
+    Its floor is ``F(max(c, r_min))``: ``F(c)`` in the standard regime
+    and 0 in the mid one. Positive at ``r = max(c, r_min)`` and negative
+    at ``r = r_max`` in both; the unique root in between is the type
+    above which sellers abstain. Accepts scalar or ndarray ``r``.
     """
-    return _threshold_residual(cfg, c, r, float(cfg.dist.cdf(c)))
+    return _threshold_residual(cfg, c, r, float(cfg.dist.cdf(max(c, cfg.dist.r_min))))
 
 
-def threshold_residual_mid(cfg: SellerMarket, c: float, r):
-    """Mid-regime threshold residual; root lies in (r_min, r_max)."""
-    return _threshold_residual(cfg, c, r, 0.0)
-
-
-def _solve_threshold(cfg: SellerMarket, c: float, lo: float, f_floor: float) -> float:
-    """Root of the threshold residual with floor ``f_floor`` on
-    ``[lo, r_max]``: sign check, uniqueness scan, then bisection. The
-    caller computes the floor once per solve."""
-    r_max = cfg.dist.r_max
+def _solve_threshold(cfg: SellerMarket, c: float) -> float:
+    """Root of :func:`threshold_residual` on ``[max(c, r_min), r_max]``:
+    sign check, uniqueness scan, then bisection. The floor is computed
+    once per solve. Raises NonUniqueThreshold when the scan finds
+    several roots, BracketingError when the endpoint signs are wrong."""
+    lo, r_max = max(c, cfg.dist.r_min), cfg.dist.r_max
+    f_floor = float(cfg.dist.cdf(lo))
 
     def residual(r):
         return _threshold_residual(cfg, c, r, f_floor)
@@ -366,42 +341,38 @@ def _solve_threshold(cfg: SellerMarket, c: float, lo: float, f_floor: float) -> 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def solve_threshold_standard(cfg: SellerMarket, c: float) -> float:
-    """Abstention threshold for a standard-regime reserve rate.
-
-    The root lies in ``(c, r_max)``; raises NonUniqueThreshold when the
-    scan finds several roots, BracketingError when the endpoint signs
-    are wrong.
-    """
-    regime = classify_regime(cfg, c)
-    if regime.kind is not RegimeKind.STANDARD:
+    """Abstention threshold for a standard-regime reserve rate; the
+    root lies in ``[c, r_max)``."""
+    if classify_regime(cfg, c) is not RegimeKind.STANDARD:
         raise ValueError(f"c={c} is not in the standard regime")
-    return _solve_threshold(cfg, c, c, float(cfg.dist.cdf(c)))
+    return _solve_threshold(cfg, c)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def solve_threshold_mid(cfg: SellerMarket, c: float) -> float:
-    """Abstention threshold for a mid-regime reserve rate; root in
-    ``(r_min, r_max)``."""
-    regime = classify_regime(cfg, c)
-    if regime.kind is not RegimeKind.MID:
+    """Abstention threshold for a mid-regime reserve rate; the root lies
+    in ``(r_min, r_max)``."""
+    if classify_regime(cfg, c) is not RegimeKind.MID:
         raise ValueError(f"c={c} is not in the mid regime")
-    return _solve_threshold(cfg, c, cfg.dist.r_min, 0.0)
+    return _solve_threshold(cfg, c)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def solve_strategy(cfg: SellerMarket, c: float) -> EquilibriumStrategy:
-    """Equilibrium strategy at reserve ``c``, thresholds included.
+    """Equilibrium strategy at reserve ``c``.
 
     Memoized on ``(cfg, c)``: the reserve-rate optimizer evaluates the
     same points repeatedly. The thresholds are looked up on
     ``cfg.sellers``.
     """
     regime = classify_regime(cfg, c)
-    if regime.kind is RegimeKind.STANDARD:
-        return EquilibriumStrategy(regime, c, r_t=solve_threshold_standard(cfg.sellers, c))
-    if regime.kind is RegimeKind.MID:
-        return EquilibriumStrategy(regime, c, r_x=solve_threshold_mid(cfg.sellers, c))
-    return EquilibriumStrategy(regime, c)
+    if regime is RegimeKind.STANDARD:
+        cutoff = solve_threshold_standard(cfg.sellers, c)
+    elif regime is RegimeKind.MID:
+        cutoff = solve_threshold_mid(cfg.sellers, c)
+    else:
+        cutoff = -math.inf if regime is RegimeKind.LOW else math.inf
+    return EquilibriumStrategy(regime, c, cutoff)
 
 
 def bid(cfg: MarketConfig, c: float, r: float) -> Bid:

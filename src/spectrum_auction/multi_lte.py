@@ -385,18 +385,12 @@ class MultiMetricsSummary(GainSummary):
 
 
 def run_auction_replication_multi(
-    cfg: MultiMarketConfig,
-    c_star: float,
-    rng: RngStream,
-    types: np.ndarray | None = None,
+    cfg: MultiMarketConfig, c_star: float, rng: RngStream, types: np.ndarray
 ):
-    """One auction replication: sample shared then alone types (unless
-    forced), bid, resolve. Returns ``(lte, apo_payoffs, welfare, types,
+    """One auction replication on the given shared then alone ``types``:
+    bid, resolve. Returns ``(lte, apo_payoffs, welfare, types,
     virtual_values, outcome)``."""
-    if types is None:
-        types = cfg.dist.sample_n(rng, cfg.k_s + cfg.k_a)
-    else:
-        types = np.asarray(types, dtype=float)
+    types = np.asarray(types, dtype=float)
     vals = bid_values_virtual(cfg, c_star, types)
     outcome = _resolve_virtual_values(vals, cfg.k_s, cfg, c_star, rng)
     lte = lte_payoff_multi(outcome, cfg)

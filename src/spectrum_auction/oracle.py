@@ -207,7 +207,7 @@ def equilibrium_strategy_map(cfg: MarketConfig, c: float) -> Strategy:
 def _mutation(cfg: MarketConfig, c: float, kind: RegimeKind, cutoff: float) -> Strategy:
     """The capped bid rule at reserve ``c`` with its cutoff moved to
     ``cutoff``; defined for reserves in the ``kind`` regime."""
-    if classify_regime(cfg, c).kind is not kind:
+    if classify_regime(cfg, c) is not kind:
         raise ValueError(f"mutation defined for {kind.value}-regime reserves")
     return lambda types: capped_bids(types, c, cutoff)
 

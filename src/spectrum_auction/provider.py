@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import TypeDistribution
-from .equilibrium import MarketConfig, ReserveRegime, solve_strategy
+from .equilibrium import MarketConfig, RegimeKind, solve_strategy
 from .numerics import CumulativeSimpson, golden_section_max, has_interior_dip
 
 QUAD_START_PANELS = 2048
@@ -35,7 +35,7 @@ TABLE_CACHE_SIZE = 8
 class PayoffCurvePoint:
     c: float
     expected_payoff: float
-    regime: ReserveRegime
+    regime: RegimeKind
     expected_payment: float
 
 

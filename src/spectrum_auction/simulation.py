@@ -102,22 +102,13 @@ class ExperimentResult:
     replications: tuple[ReplicationRecord, ...]
 
 
-def run_auction_replication(
-    cfg: MarketConfig,
-    c_star: float,
-    rng: RngStream,
-    types: np.ndarray | None = None,
-):
-    """One auction-scheme replication.
-
-    Samples K types (unless ``types`` forces them), applies the
-    equilibrium bids, resolves, and returns
+def run_auction_replication(cfg: MarketConfig, c_star: float, rng: RngStream, types: np.ndarray):
+    """One auction-scheme replication on the K given ``types``: applies
+    the equilibrium bids, resolves (a tie-break or competition draws
+    from ``rng``), and returns
     ``(lte_payoff, apo_payoffs, welfare, types, bids, outcome)``.
     """
-    if types is None:
-        types = cfg.dist.sample_n(rng, cfg.k)
-    else:
-        types = np.asarray(types, dtype=float)
+    types = np.asarray(types, dtype=float)
     bids = bid_values(cfg, c_star, types)
     outcome = _resolve_values(bids, c_star, rng)
     lte = lte_payoff(outcome, cfg)

@@ -44,11 +44,13 @@ CASES = [(NARROW, 48.0), (NARROW, 30.0), (TN, 150.0)]
 CASE_IDS = ["mid-ties", "low-abstain", "truncated-normal"]
 
 
-def sequential_fields(auction_fn, benchmark_fn, cfg, c, rep):
-    """One replication the way it drew before batching: types, the
-    auction's pick and the benchmark's pick from one stream in turn."""
+def sequential_fields(auction_fn, benchmark_fn, cfg, c, rep, sellers):
+    """One replication the way it drew before batching: the ``sellers``
+    types, the auction's pick and the benchmark's pick from one stream
+    in turn."""
     rng = RngStream(SEED, rep)
-    a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c, rng)
+    types = cfg.dist.sample_n(rng, sellers)
+    a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c, rng, types)
     b_lte, b_apo, w_b, _ = benchmark_fn(cfg, types, rng)
     fields = dict(
         rep=rep,
@@ -95,7 +97,7 @@ def test_single_buyer_records_match_sequential_draws(dist, c):
     expected = []
     for rep in range(REPS):
         fields, _ = sequential_fields(
-            run_auction_replication, run_benchmark_replication, cfg, c, rep
+            run_auction_replication, run_benchmark_replication, cfg, c, rep, cfg.k
         )
         fields["welfare_max"] = social_welfare_max(cfg, fields["types"])
         expected.append(fields)
@@ -110,7 +112,8 @@ def test_multi_buyer_records_match_sequential_draws(dist, c):
     expected = []
     for rep in range(REPS):
         fields, outcome = sequential_fields(
-            run_auction_replication_multi, run_benchmark_replication_multi, cfg, c, rep
+            run_auction_replication_multi, run_benchmark_replication_multi, cfg, c, rep,
+            cfg.k_s + cfg.k_a,
         )
         fields.update(winner_origin=outcome.winner_origin, virtual_price=outcome.virtual_price)
         expected.append(fields)

@@ -19,10 +19,7 @@ from spectrum_auction import (
     solve_threshold_mid,
     solve_threshold_standard,
 )
-from spectrum_auction.equilibrium import (
-    threshold_residual_mid,
-    threshold_residual_standard,
-)
+from spectrum_auction.equilibrium import threshold_residual
 from spectrum_auction.errors import BracketingError
 from spectrum_auction.oracle import (
     uniform_k2_mid_threshold,
@@ -45,29 +42,33 @@ class TestMarketConfig:
 class TestClassifyRegime:
     def test_low_example(self, market_k4):
         # L = (3.3/4)*50 = 41.25
-        regime = classify_regime(market_k4, 30.0)
-        assert regime.kind is RegimeKind.LOW
-        assert regime.hi == pytest.approx(41.25, abs=1e-12)
+        assert classify_regime(market_k4, 30.0) is RegimeKind.LOW
+        assert market_k4.low_regime_cap == pytest.approx(41.25, abs=1e-12)
 
     def test_mid_example(self, market_k4):
-        assert classify_regime(market_k4, 49.4).kind is RegimeKind.MID
+        assert classify_regime(market_k4, 49.4) is RegimeKind.MID
 
     def test_high_boundary(self, market_k4):
-        assert classify_regime(market_k4, 200.0).kind is RegimeKind.HIGH
+        assert classify_regime(market_k4, 200.0) is RegimeKind.HIGH
 
     def test_boundary_conventions(self, market_k4):
-        assert classify_regime(market_k4, 41.25).kind is RegimeKind.LOW
-        assert classify_regime(market_k4, 50.0).kind is RegimeKind.STANDARD
+        assert classify_regime(market_k4, 41.25) is RegimeKind.LOW
+        assert classify_regime(market_k4, 50.0) is RegimeKind.STANDARD
 
     def test_partition_covers_half_line(self, market_k4):
         # grid test: every c belongs to exactly one regime whose interval
         # contains it, and the four intervals tile [0, inf)
+        low_cap, r_min, r_max = market_k4.low_regime_cap, market_k4.dist.r_min, market_k4.dist.r_max
+        bounds = {
+            RegimeKind.LOW: (0.0, low_cap),
+            RegimeKind.MID: (low_cap, r_min),
+            RegimeKind.STANDARD: (r_min, r_max),
+            RegimeKind.HIGH: (r_max, math.inf),
+        }
         for c in np.linspace(0.0, 500.0, 4001):
-            regime = classify_regime(market_k4, float(c))
-            assert regime.lo <= c <= regime.hi or (
-                regime.kind is RegimeKind.HIGH and c >= regime.lo
-            )
-        kinds = {classify_regime(market_k4, c).kind for c in (10.0, 45.0, 100.0, 300.0)}
+            lo, hi = bounds[classify_regime(market_k4, float(c))]
+            assert lo <= c <= hi
+        kinds = {classify_regime(market_k4, c) for c in (10.0, 45.0, 100.0, 300.0)}
         assert kinds == set(RegimeKind)
 
 
@@ -76,7 +77,7 @@ class TestResiduals:
         # residual at r=c collapses to (1-F(c))^(K-1) * ((1-eta)/K) * c
         cfg, c = market_uniform_k2, 100.0
         expected = (1 - cfg.dist.cdf(c)) ** (cfg.k - 1) * (1 - cfg.eta_apo) / cfg.k * c
-        assert threshold_residual_standard(cfg, c, c) == pytest.approx(expected, rel=1e-12)
+        assert threshold_residual(cfg, c, c) == pytest.approx(expected, rel=1e-12)
         assert expected > 0
 
     def test_value_at_support_top(self, market_uniform_k2):
@@ -84,13 +85,13 @@ class TestResiduals:
         cfg, c = market_uniform_k2, 100.0
         r_max = cfg.dist.r_max
         expected = (1 - cfg.dist.cdf(c)) ** (cfg.k - 1) * (c - r_max) / cfg.k
-        assert threshold_residual_standard(cfg, c, r_max) == pytest.approx(expected, rel=1e-12)
+        assert threshold_residual(cfg, c, r_max) == pytest.approx(expected, rel=1e-12)
         assert expected < 0
 
     def test_root_of_quadratic(self, market_uniform_k2):
         # 0.15 r^2 - 130 r + 15000 = 0 has its admissible root at 137.06
         root = uniform_k2_standard_threshold(market_uniform_k2, 100.0)
-        assert threshold_residual_standard(market_uniform_k2, 100.0, root) == pytest.approx(
+        assert threshold_residual(market_uniform_k2, 100.0, root) == pytest.approx(
             0.0, abs=1e-9
         )
         assert root == pytest.approx(137.06, abs=1e-3)
@@ -98,7 +99,7 @@ class TestResiduals:
     def test_mid_residual_endpoint_sign(self, market_k4):
         # J(r_min) = c - L > 0 inside the mid regime
         c = 45.0
-        val = threshold_residual_mid(market_k4, c, market_k4.dist.r_min)
+        val = threshold_residual(market_k4, c, market_k4.dist.r_min)
         assert val == pytest.approx(c - market_k4.low_regime_cap, rel=1e-12)
 
 
@@ -130,11 +131,11 @@ class TestThresholdSolvers:
         for c in (50.0, 55.0, 90.0, 150.0, 199.0):
             r_t = solve_threshold_standard(market_k4, c)
             assert c < r_t < r_max
-            assert abs(threshold_residual_standard(market_k4, c, r_t)) < 1e-9 * r_max
+            assert abs(threshold_residual(market_k4, c, r_t)) < 1e-9 * r_max
         for c in (41.3, 45.0, 49.9):
             r_x = solve_threshold_mid(market_k4, c)
             assert 50.0 < r_x < r_max
-            assert abs(threshold_residual_mid(market_k4, c, r_x)) < 1e-9 * r_max
+            assert abs(threshold_residual(market_k4, c, r_x)) < 1e-9 * r_max
 
     def test_quadratic_equivalence_random_draws(self, uniform_dist):
         # light version of the acceptance sweep
@@ -208,8 +209,8 @@ class TestUniquenessScan:
     def test_reports_bracket(self, market_k4):
         # the residual changes sign across the returned root
         r_t = solve_threshold_standard(market_k4, 55.0)
-        assert threshold_residual_standard(market_k4, 55.0, r_t - 1e-6) > 0.0
-        assert threshold_residual_standard(market_k4, 55.0, r_t + 1e-6) < 0.0
+        assert threshold_residual(market_k4, 55.0, r_t - 1e-6) > 0.0
+        assert threshold_residual(market_k4, 55.0, r_t + 1e-6) < 0.0
 
 
 class TestBiddingStrategy:
@@ -232,10 +233,10 @@ class TestBiddingStrategy:
 
     def test_boundary_types_deterministic(self, market_k4):
         strat = solve_strategy(market_k4, 55.0)
-        assert strat.bid(strat.r_t) == Bid.of(55.0)
+        assert strat.bid(strat.cutoff) == Bid.of(55.0)
         assert strat.bid(50.0) == Bid.of(50.0)
         mid = solve_strategy(market_k4, 49.4)
-        assert mid.bid(mid.r_x) == Bid.of(49.4)
+        assert mid.bid(mid.cutoff) == Bid.of(49.4)
 
     def test_out_of_support_type_rejected(self, market_k4):
         with pytest.raises(ValueError):
@@ -284,9 +285,9 @@ class TestBiddingStrategy:
             RegimeKind.HIGH: (r_max, 1.6 * r_max),
         }[regime]
         c = lo + frac * (hi - lo)
-        assume(classify_regime(cfg, c).kind is regime)
+        assume(classify_regime(cfg, c) is regime)
         s = solve_strategy(cfg, c)
-        marks = [c, r_min, r_max] + [t for t in (s.r_x, s.r_t) if t is not None]
+        marks = [c, r_min, r_max] + ([s.cutoff] if math.isfinite(s.cutoff) else [])
         types = np.concatenate([
             np.linspace(r_min, r_max, 301),
             marks,

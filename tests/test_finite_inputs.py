@@ -224,6 +224,20 @@ def test_cli_counts_no_array_can_hold_exit_2(capsys, args):
     assert_config_error(*run_cli(capsys, *args, str(10**30)))
 
 
+@pytest.mark.parametrize("args", [
+    ("simulate", "--preset", "appendixK", "--replications", str(2**56)),
+    ("payoff-curve", "--preset", "fig4", "--c-min", "42", "--c-max", "200", "--steps", str(2**58)),
+    ("verify", "--preset", "appendixK", "--c", "55", "--samples", str(2**57)),
+], ids=["simulate-replications", "payoff-curve-steps", "verify-samples"])
+def test_cli_count_too_large_for_memory_exits_2(capsys, args):
+    """Each count passes its rule but sizes an array of 2**57 to 2**63
+    bytes, which no machine maps. numpy's MemoryError used to end the
+    command with a traceback and exit 1."""
+    code, err = run_cli(capsys, *args)
+    assert code == 2
+    assert json.loads(err)["error"] == "memory"
+
+
 @pytest.mark.parametrize("command, config", [
     ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
     ("optimize", {"market": dict(preset("appendixK")["market"], r_lte=HUGE)}),

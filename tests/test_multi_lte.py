@@ -30,7 +30,6 @@ from spectrum_auction.multi_lte import (
     bid_values_alone,
     feasible_reserve_bounds,
     lte_payoff_multi,
-    run_auction_replication_multi,
     run_benchmark_replication_multi,
     shared_participation_cutoff,
 )
@@ -310,12 +309,3 @@ class TestExperimentMulti:
         assert channel in (2, 3)
         assert apo[0] == 30.0 and apo[1] == 36.0
         assert apo[channel] == pytest.approx(0.3 * types[channel])
-
-    def test_replication_draw_layout(self, multi_market):
-        # forced types consume no draws; the sampled path consumes
-        # k_s + k_a type draws before any tie-break
-        lte, apo, w, types, vals, out = run_auction_replication_multi(
-            multi_market, 140.0, RngStream(9, 0)
-        )
-        assert len(types) == 4
-        assert len(vals) == 4

@@ -88,7 +88,7 @@ class TestOptimizeReserve:
         opt = optimize_reserve(market_k4)
         assert opt.case == 2
         assert opt.c_star == pytest.approx(49.4, abs=0.1)
-        assert classify_regime(market_k4, opt.c_star).kind is RegimeKind.MID
+        assert classify_regime(market_k4, opt.c_star) is RegimeKind.MID
 
     def test_case1_small_throughput(self, trunc_normal):
         # threshold (3.3 / (4*0.6)) * 50 = 68.75 > 40
@@ -120,7 +120,7 @@ class TestOptimizeReserve:
 
     def test_payoff_curve_points(self, market_k4):
         points = [curve_point(market_k4, c) for c in (30.0, 45.0, 55.0, 250.0)]
-        kinds = [p.regime.kind for p in points]
+        kinds = [p.regime for p in points]
         assert kinds == [
             RegimeKind.LOW,
             RegimeKind.MID,
@@ -135,7 +135,7 @@ def four_branch_point(cfg, c):
     """``(payoff, payment)`` by a separate expression per regime: the
     reference the one-formula ``curve_point`` is checked against."""
     dist, r = cfg.dist, cfg.r_lte
-    kind = classify_regime(cfg, c).kind
+    kind = classify_regime(cfg, c)
     if kind is RegimeKind.LOW:
         return cfg.delta_lte * r, 0.0
     if kind is RegimeKind.MID:
@@ -189,7 +189,7 @@ def test_one_formula_matches_the_four_branch_formula(market_and_reserve):
     point = curve_point(cfg, c)
     payoff, payment = four_branch_point(cfg, c)
     assert point.expected_payment.hex() == payment.hex()
-    if point.regime.kind is RegimeKind.MID:
+    if point.regime is RegimeKind.MID:
         assert abs(point.expected_payoff - payoff) <= 4 * math.ulp(payoff)
     else:
         assert point.expected_payoff.hex() == payoff.hex()

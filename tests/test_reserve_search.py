@@ -64,14 +64,14 @@ def test_standard_regime_point_runs_no_quadrature_once_its_table_exists(appendix
     calls = count_tables(monkeypatch)
     passes = []
     monkeypatch.setattr(numerics, "composite_simpson", lambda *a: passes.append(1))
-    assert curve_point(appendix_market, 120.0).regime.kind.value == "standard"
+    assert curve_point(appendix_market, 120.0).regime.value == "standard"
     assert (calls, passes) == ([], [])
 
 
 def test_a_table_is_built_once_per_law_k_and_budget(appendix_market, monkeypatch):
     provider._payment_table.cache_clear()
     calls = count_tables(monkeypatch)
-    assert curve_point(appendix_market, 45.0).regime.kind.value == "mid"
+    assert curve_point(appendix_market, 45.0).regime.value == "mid"
     assert calls == []
     other_delta = dataclasses.replace(appendix_market, delta_lte=0.2)
     for c in (60.0, 120.0, 190.0, 250.0):

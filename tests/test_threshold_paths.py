@@ -1,16 +1,18 @@
 """The scalar paths of ``TypeDistribution.cdf`` and of the threshold
-residuals give the same bits as the array paths they replace.
+residual give the same bits as the array paths they replace.
 
 A ``float`` argument runs the array path's IEEE operations in the same
 order on Python floats. ``parent_residual`` below is the residual the
 engine ran before: it sends a scalar through a 0-d array, as the solvers
-did, and is kept as the reference for the residuals and the solves."""
+did, and is kept as the reference for the residual and the solves. Its
+``parent_standard`` and ``parent_mid`` forms are the two per-regime
+residuals that the one ``threshold_residual`` replaced."""
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import MarketConfig, TypeDistribution
@@ -103,13 +105,10 @@ def test_scalar_residuals_are_the_parent_residuals(name, k):
         for f in (0.0, 0.2, 0.7):
             c_std = dist.r_min + f * dist.span
             c_mid = low_cap + (f + 0.1) * (dist.r_min - low_cap)
-            for c, new, old, lo in (
-                (c_std, eq.threshold_residual_standard, parent_standard, c_std),
-                (c_mid, eq.threshold_residual_mid, parent_mid, dist.r_min),
-            ):
+            for c, old, lo in ((c_std, parent_standard, c_std), (c_mid, parent_mid, dist.r_min)):
                 rs = [lo, dist.r_max, *rng.uniform(lo, dist.r_max, 40).tolist()]
                 for r in rs:
-                    got = new(cfg.sellers, c, r)
+                    got = eq.threshold_residual(cfg.sellers, c, r)
                     assert type(got) is float
                     assert bits(got) == bits(old(cfg, c, r))
 
@@ -153,13 +152,13 @@ def test_threshold_solves_are_the_parent_solves(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# A solve computes the standard regime's F(c) once, not in every residual
+# A solve computes its floor F(max(c, r_min)) once, not in every residual
 # ---------------------------------------------------------------------------
 
 
 def parent_solve(sellers, c, lo, residual):
     """The solve as the engine ran it before: every evaluation goes
-    through the public residual, which computes F(c) anew."""
+    through a per-regime residual, which computes its floor anew."""
     r_max = sellers.dist.r_max
 
     def f(r):
@@ -194,16 +193,16 @@ def test_threshold_bits_unchanged_on_preset_reserve_grids(name):
         solver.cache_clear()
     got = [solve_outcome(eq.solve_threshold_standard, sellers, c) for c in standard]
     got += [solve_outcome(eq.solve_threshold_mid, sellers, c) for c in mid]
-    want = [parent_outcome(sellers, c, c, eq.threshold_residual_standard) for c in standard]
-    want += [parent_outcome(sellers, c, dist.r_min, eq.threshold_residual_mid) for c in mid]
+    want = [parent_outcome(sellers, c, c, parent_standard) for c in standard]
+    want += [parent_outcome(sellers, c, dist.r_min, parent_mid) for c in mid]
     assert sum(isinstance(w, bytes) for w in want) == len(want)
     assert got == want
 
 
 @pytest.mark.parametrize("kind, c", [("standard", 120.0), ("standard", 57.5), ("mid", 49.0)])
 def test_a_solve_makes_one_scalar_cdf_call_for_the_floor(monkeypatch, kind, c):
-    """Every scalar residual takes F(r); the standard regime's F(c) is
-    taken once per solve on top of them, and the mid regime has none."""
+    """Every scalar residual takes F(r); the floor F(max(c, r_min)) is
+    taken once per solve on top of them, in both regimes."""
     sellers = eq.SellerMarket(4, LAWS["TN(125,50)"], 0.3)
     solver = {"standard": eq.solve_threshold_standard, "mid": eq.solve_threshold_mid}[kind]
     cdf_args, residual_args = [], []
@@ -225,7 +224,50 @@ def test_a_solve_makes_one_scalar_cdf_call_for_the_floor(monkeypatch, kind, c):
     solver(sellers, c)
     solver.cache_clear()
     assert len(residual_args) > 10
-    floors = 1 if kind == "standard" else 0
-    assert len(cdf_args) == len(residual_args) + floors
-    if floors:
-        assert cdf_args[0] == c
+    assert len(cdf_args) == len(residual_args) + 1
+    assert cdf_args[0] == max(c, sellers.dist.r_min)
+
+
+# ---------------------------------------------------------------------------
+# The mid and standard regimes are one solve, and the strategy's cutoff is it
+# ---------------------------------------------------------------------------
+
+MERGED_LAWS = {
+    **{name: LAWS[name] for name in SOLVE_LAWS},
+    "TN(0.5,0.4) on [0.1,1.37]": TypeDistribution.truncated_normal(0.5, 0.4, 0.1, 1.37),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MERGED_LAWS)),
+    k=st.integers(2, 7),
+    eta=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    standard=st.booleans(),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_the_cutoff_is_the_regime_solvers_root(name, k, eta, standard, frac):
+    """F is exactly 0 at r_min, so the mid regime's floor is the one
+    equation's F(max(c, r_min)); the strategy's cutoff is its regime's
+    root, and a standard root is never below c."""
+    dist = MERGED_LAWS[name]
+    assert bits(dist.cdf(dist.r_min)) == bits(0.0)
+    sellers = eq.SellerMarket(k, dist, eta)
+    if standard:
+        kind, solver = eq.RegimeKind.STANDARD, eq.solve_threshold_standard
+        c = dist.r_min + frac * dist.span
+    else:
+        kind, solver = eq.RegimeKind.MID, eq.solve_threshold_mid
+        c = sellers.low_regime_cap + frac * (dist.r_min - sellers.low_regime_cap)
+    assume(eq.classify_regime(sellers, c) is kind)
+    try:
+        root = solver(sellers, c)
+    except SpectrumAuctionError as exc:
+        with pytest.raises(type(exc)):
+            eq.solve_strategy(sellers, c)
+        return
+    strategy = eq.solve_strategy(sellers, c)
+    assert (strategy.regime, strategy.c) == (kind, c)
+    assert bits(strategy.cutoff) == bits(root)
+    if standard:
+        assert root >= c
