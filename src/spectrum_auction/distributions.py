@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import InvalidDistribution
 from .numerics import is_finite, is_number
-from .rng import RngStream
 
 UNIFORM = "uniform"
 TRUNCATED_NORMAL = "truncated_normal"
@@ -314,7 +313,13 @@ class TypeDistribution:
 
     @cached_property
     def _bisection_steps(self) -> int:
-        return int(math.ceil(math.log2(self.span / _INV_CDF_TOL)))
+        """Steps that shrink the support below ``_INV_CDF_TOL``. Where
+        ``span / _INV_CDF_TOL`` overflows (spans above about 1.8e296),
+        the logarithms are taken apart."""
+        ratio = self.span / _INV_CDF_TOL
+        if math.isinf(ratio):
+            return int(math.ceil(math.log2(self.span) - math.log2(_INV_CDF_TOL)))
+        return int(math.ceil(math.log2(ratio)))
 
     @cached_property
     def _replayed_steps(self) -> int:
@@ -560,11 +565,3 @@ class TypeDistribution:
         np.add(lo, hi, out=mid)
         mid *= 0.5
         return mid
-
-    def sample(self, rng: RngStream) -> float:
-        """One draw; consumes exactly one uniform from ``rng``."""
-        return float(self.inverse_cdf(rng.uniform()))
-
-    def sample_n(self, rng: RngStream, n: int) -> np.ndarray:
-        """``n`` draws; consumes ``n`` uniforms in sequence order."""
-        return np.asarray(self.inverse_cdf(rng.uniforms(n)), dtype=float)

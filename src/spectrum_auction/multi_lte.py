@@ -21,16 +21,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .auction import (
-    AuctionOutcome, BidProfile, Mode, _second_price, realized_apo_payoffs, second_price_rows,
-)
+from .auction import AuctionOutcome, BidProfile, Mode, _second_price, realized_apo_payoffs
 from .distributions import TypeDistribution
 from .equilibrium import (
-    ABSTAIN_VALUE,
     Bid,
     MarketConfig,
     bid_values,
     bid as single_bid,
+    capped_bids,
     require_count,
     require_numbers,
     require_type,
@@ -143,24 +141,20 @@ def bid_alone(cfg: MultiMarketConfig, c: float, r: float) -> VirtualBid:
 
 def bid_values_shared(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Shared sellers' virtual bids: the discounted rate plus the
-    normalization offset, or abstention (+inf) above the cutoff. The
-    cutoff test compares bids with ``c``, so rounding at a type exactly
-    at the cutoff cannot produce a bid above the reserve."""
-    bids = cfg.eta_apo * np.asarray(types, dtype=float) + cfg.shared_offset
-    return np.where(bids <= c, bids, ABSTAIN_VALUE)
-
-
-def bid_values_alone(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
-    return bid_values(cfg.alone_market, c, types)
+    normalization offset, under the equilibrium's one bid rule
+    (:func:`capped_bids`) with its cutoff at ``c`` in virtual-bid space.
+    A value up to ``c`` is bid as it is, and one above ``c`` abstains
+    (+inf); comparing values with ``c``, not types with the cutoff
+    type, means rounding cannot produce a bid above the reserve."""
+    return capped_bids(cfg.eta_apo * np.asarray(types, dtype=float) + cfg.shared_offset, c, c)
 
 
 def bid_values_virtual(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> np.ndarray:
     """Virtual bids along the last axis of ``types``, whose first
     ``k_s`` entries are shared sellers' types and the rest alone ones'."""
-    k_s = cfg.k_s
+    shared, alone = types[..., :cfg.k_s], types[..., cfg.k_s:]
     return np.concatenate(
-        [bid_values_shared(cfg, c, types[..., :k_s]), bid_values_alone(cfg, c, types[..., k_s:])],
-        axis=-1,
+        [bid_values_shared(cfg, c, shared), bid_values(cfg.alone_market, c, alone)], axis=-1
     )
 
 
@@ -233,54 +227,42 @@ def require_samples(n: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _type_pool(dist: TypeDistribution, k_s: int, k_a: int, n: int, seed: int):
-    """Antithetic type pool shared across reserve rates (common random
-    numbers keep the Monte Carlo payoff curve smooth in c), reduced to
-    the four types a row's payment can depend on.
+def _type_pool(cfg: MultiMarketConfig, n: int, seed: int):
+    """The reserve-independent part of each row's auction over an
+    antithetic type pool shared across reserve rates (common random
+    numbers keep the Monte Carlo payoff curve smooth in c), as three
+    read-only arrays ``(vs1, q, a1)``: the lowest shared seller's raw
+    virtual value ``eta*S1 + offset``, the second-lowest raw value ``q``
+    among ``eta*S1 + offset``, ``eta*S2 + offset``, ``A1`` and ``A2``,
+    and the lowest alone type ``A1``.
 
     Both bid maps are non-decreasing in type, in float arithmetic too:
     the shared map is ``eta*t + offset`` capped at ``c``, and the alone
     map is constant, a step or the identity in every regime. So a row's
     two lowest virtual bids are bids of its two lowest shared types or
     of its two lowest alone types (``k_s, k_a >= 2``). The pool is drawn
-    as the full ``(n, k_s + k_a)`` matrix, each group is sorted once,
-    and the result is a read-only ``(4, n)`` array: lowest and
-    second-lowest shared types, then lowest and second-lowest alone
-    types."""
-    rng = RngStream(seed, 0)
-    half = n // 2
-    u = rng.uniforms(half, k_s + k_a)
-    u = np.concatenate([u, 1.0 - u], axis=0)
-    types = np.asarray(dist.inverse_cdf(u), dtype=float)
-    shared = np.sort(types[:, :k_s], axis=1)[:, :2]
-    alone = np.sort(types[:, k_s:], axis=1)[:, :2]
-    pool = np.ascontiguousarray(np.concatenate([shared, alone], axis=1).T)
-    pool.setflags(write=False)
-    return pool
-
-
-@lru_cache(maxsize=8)
-def _row_values(cfg: MultiMarketConfig, n: int, seed: int):
-    """The reserve-independent part of each pool row's auction, as three
-    read-only arrays ``(vs1, q, a1)``: the lowest shared seller's raw
-    virtual value ``eta*S1 + offset``, the second-lowest raw value ``q``
-    among ``eta*S1 + offset``, ``eta*S2 + offset``, ``A1`` and ``A2``, and
-    the lowest alone type ``A1``.
+    as the full ``(n, k_s + k_a)`` matrix and each group is sorted once.
+    With both pairs sorted, the second-lowest of the four values is
+    ``q = min(max(vs1, A1), vs2, A2)``; min and max round nothing.
 
     With ``g(x) = min(c, x)``, every seller's reserve-capped bid ``b``
     has ``g(b) = g(raw value)`` in every regime: a shared value above
     ``c`` and an alone type that abstains are both above ``c``, and an
     alone type that bids ``c`` is at least ``c``. ``g`` is monotone, so
     a cooperating row's price ``min(c, second-lowest bid)`` is
-    ``min(c, q)``, whatever ``c`` is. ``q`` is the row rule's price at an
-    infinite reserve."""
-    pool = _type_pool(cfg.dist, cfg.k_s, cfg.k_a, n, seed)
-    shared = cfg.eta_apo * pool[:2] + cfg.shared_offset
-    q = second_price_rows(np.concatenate([shared, pool[2:]]).T, math.inf)[1]
-    vs1 = shared[0].copy()
-    for a in (vs1, q):
+    ``min(c, q)``, whatever ``c`` is."""
+    k_s = cfg.k_s
+    rng = RngStream(seed, 0)
+    u = rng.uniforms(n // 2, k_s + cfg.k_a)
+    types = np.asarray(cfg.dist.inverse_cdf(np.concatenate([u, 1.0 - u], axis=0)), dtype=float)
+    shared = np.sort(types[:, :k_s], axis=1)
+    alone = np.sort(types[:, k_s:], axis=1)
+    vs1, vs2 = (cfg.eta_apo * shared[:, i] + cfg.shared_offset for i in (0, 1))
+    q = np.minimum(np.maximum(vs1, alone[:, 0]), np.minimum(vs2, alone[:, 1]))
+    a1 = alone[:, 0].copy()
+    for a in (vs1, q, a1):
         a.setflags(write=False)
-    return vs1, q, pool[2]
+    return vs1, q, a1
 
 
 def expected_payoff_multi(
@@ -299,10 +281,10 @@ def expected_payoff_multi(
     group (see :func:`_type_pool`). A row cooperates when its lowest
     shared seller bids or its lowest alone type is at most the alone
     strategy's cutoff, and pays ``min(c, q)`` with ``q`` priced once per
-    pool (see :func:`_row_values`). The estimate is bit-identical to one
-    over the full type matrix."""
+    pool. The estimate is bit-identical to one over the full type
+    matrix."""
     require_samples(n)
-    vs1, q, a1 = _row_values(cfg, n, seed)
+    vs1, q, a1 = _type_pool(cfg, n, seed)
     coop = a1 <= solve_strategy(cfg.alone_market.sellers, c).cutoff
     coop |= vs1 <= c
     pay = np.minimum(c, q)

@@ -49,7 +49,7 @@ def sequential_fields(auction_fn, benchmark_fn, cfg, c, rep, sellers):
     types, the auction's pick and the benchmark's pick from one stream
     in turn."""
     rng = RngStream(SEED, rep)
-    types = cfg.dist.sample_n(rng, sellers)
+    types = cfg.dist.inverse_cdf(rng.uniforms(sellers))
     a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c, rng, types)
     b_lte, b_apo, w_b, _ = benchmark_fn(cfg, types, rng)
     fields = dict(

@@ -134,28 +134,28 @@ class TestInverseCdf:
 class TestSampling:
     def test_support_membership(self, uniform_dist):
         rng = RngStream(42, 0)
-        draws = uniform_dist.sample_n(rng, 1000)
+        draws = uniform_dist.inverse_cdf(rng.uniforms(1000))
         assert np.all((draws >= 50) & (draws <= 200))
 
     def test_determinism_same_stream(self, trunc_normal):
-        a = trunc_normal.sample_n(RngStream(7, 3), 100)
-        b = trunc_normal.sample_n(RngStream(7, 3), 100)
+        a = trunc_normal.inverse_cdf(RngStream(7, 3).uniforms(100))
+        b = trunc_normal.inverse_cdf(RngStream(7, 3).uniforms(100))
         assert np.array_equal(a, b)
 
     def test_streams_differ(self, trunc_normal):
-        a = trunc_normal.sample_n(RngStream(7, 0), 50)
-        b = trunc_normal.sample_n(RngStream(7, 1), 50)
+        a = trunc_normal.inverse_cdf(RngStream(7, 0).uniforms(50))
+        b = trunc_normal.inverse_cdf(RngStream(7, 1).uniforms(50))
         assert not np.array_equal(a, b)
 
     def test_scalar_vector_draw_parity(self, trunc_normal):
-        vec = trunc_normal.sample_n(RngStream(3, 0), 5)
+        vec = trunc_normal.inverse_cdf(RngStream(3, 0).uniforms(5))
         rng = RngStream(3, 0)
-        scalars = [trunc_normal.sample(rng) for _ in range(5)]
+        scalars = [trunc_normal.inverse_cdf(rng.uniform()) for _ in range(5)]
         assert np.allclose(vec, scalars, rtol=0, atol=0)
 
     def test_ks_statistic_against_cdf_oracle(self, trunc_normal):
         n = 100_000
-        draws = np.sort(trunc_normal.sample_n(RngStream(123, 0), n))
+        draws = np.sort(trunc_normal.inverse_cdf(RngStream(123, 0).uniforms(n)))
         cdf_vals = np.array(
             [erf_truncnorm_cdf(r, 125, 50, 50, 200) for r in draws[:: n // 1000]]
         )

@@ -7,6 +7,7 @@ exact depth at once, as a grid cell), checks the bracket it reached
 against the cdf, and sends every element that fails the check through
 the plain bisection. ``plain_bisection`` below is the loop the
 engine ran before, kept as the reference."""
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import InvalidDistribution, RngStream, TypeDistribution
-from spectrum_auction.cli import parse_market
+from spectrum_auction.cli import main, parse_market
 from spectrum_auction.distributions import _ERF_CHUNK
 from spectrum_auction.oracle import sample_type_matrix
 from spectrum_auction.presets import preset
@@ -24,12 +25,25 @@ EDGE_PROBABILITIES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
 FAR_TAIL_LAWS = [(300.0, 20.0, 50.0, 200.0), (-100.0, 15.0, 0.0, 60.0)]
 
 
+def bisection_steps(span):
+    """Steps until the bracket is at most 1e-12 wide: ``ceil(log2(span /
+    1e-12))``, or, where that ratio overflows, the number of halvings
+    (exact in floats) that bring ``span`` to 1e-12 or below."""
+    ratio = span / 1e-12
+    if math.isfinite(ratio):
+        return int(math.ceil(math.log2(ratio)))
+    steps = 0
+    while span > 1e-12:
+        span /= 2.0
+        steps += 1
+    return steps
+
+
 def plain_bisection(dist, p):
     p = np.asarray(p, dtype=float)
     lo = np.full_like(p, dist.r_min, dtype=float)
     hi = np.full_like(p, dist.r_max, dtype=float)
-    steps = int(math.ceil(math.log2((dist.r_max - dist.r_min) / 1e-12)))
-    for _ in range(steps):
+    for _ in range(bisection_steps(dist.r_max - dist.r_min)):
         mid = 0.5 * (lo + hi)
         below = dist.cdf(mid) < p
         lo = np.where(below, mid, lo)
@@ -119,6 +133,38 @@ def test_wide_support_laws_match_plain_bisection(law):
     dist = TypeDistribution.truncated_normal(*law)
     p = RngStream(0, 0).uniforms(20_000)
     assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+# Supports whose span over 1e-12 overflows a float (above about 1.8e296).
+OVERFLOWING_LAWS = [(125.0, 50.0, 50.0, 1e297), (125.0, 50.0, 0.0, 1e297)]
+
+
+@pytest.mark.parametrize("law", OVERFLOWING_LAWS)
+def test_overflowing_span_ratio_matches_plain_bisection(law):
+    dist = TypeDistribution.truncated_normal(*law)
+    assert dist._bisection_steps == bisection_steps(dist.span) == 1027
+    p = RngStream(0, 0).uniforms(2000)
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
+@given(r_min=st.floats(0.0, 1e6), r_max=st.floats(1e-300, 1.8e296))
+@settings(max_examples=300, deadline=None)
+def test_finite_span_ratios_keep_their_step_count(r_min, r_max):
+    assume(r_max > r_min)
+    dist = TypeDistribution.uniform(r_min, r_max)
+    ratio = dist.span / 1e-12
+    assume(math.isfinite(ratio))
+    assert dist._bisection_steps == int(math.ceil(math.log2(ratio)))
+
+
+def test_cli_simulate_on_an_overflowing_span_ratio(tmp_path, capsys):
+    mu, sigma, r_min, r_max = OVERFLOWING_LAWS[0]
+    dist = {"kind": "truncated_normal", "mu": mu, "sigma": sigma, "r_min": r_min, "r_max": r_max}
+    market = {"k": 4, "eta_apo": 0.3, "delta_lte": 0.4, "r_lte": 95.0, "dist": dist}
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"market": market}))
+    assert main(["simulate", "--config", str(config), "--replications", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def exact_tree_depth(r_min, r_max, cap):

@@ -25,9 +25,9 @@ from spectrum_auction import (
     virtual_bid,
 )
 from spectrum_auction.auction import _resolve_values
+from spectrum_auction.equilibrium import bid_values
 from spectrum_auction.multi_lte import (
     apo_payoffs_multi,
-    bid_values_alone,
     feasible_reserve_bounds,
     lte_payoff_multi,
     run_benchmark_replication_multi,
@@ -183,7 +183,7 @@ class TestResolveMulti:
         rng_multi = RngStream(3, 5)
         rng_single = RngStream(3, 5)
         for types in ([60.0, 75.0], [150.0, 170.0], [55.0, 55.0]):
-            values = bid_values_alone(multi_market, 100.0, np.array(types))
+            values = bid_values(alone_market, 100.0, np.array(types))
             vbids = [VirtualBid(None, Origin.SHARED)] * 2 + [
                 VirtualBid(None if np.isinf(v) else float(v), Origin.ALONE)
                 for v in values

@@ -1,13 +1,17 @@
-"""The multi-provider payoff estimator works on a sorted four-column pool
-whose rows it prices once, and the row rule finds the two lowest bids in
-one sweep; both must give exactly what the full computation gives.
+"""The multi-provider payoff estimator reads one cached table of three
+row values (the lowest shared virtual value, the second-lowest of the
+two lowest shared and alone values, the lowest alone type) taken from
+each group's sorted types, and the row rule finds the two lowest bids
+in one sweep; both must give exactly what the full computation gives.
 
 The references here are coded independently: the row rule against
-``np.partition``, and the estimator against the unsorted
-``(n, k_s + k_a)`` type matrix mapped through ``bid_values_virtual``
-and then the partition rule."""
+``np.partition``, the table against ``second_price_rows`` on the four
+lowest values, the shared bid rule against its ``np.where`` form, and
+the estimator against the unsorted ``(n, k_s + k_a)`` type matrix
+mapped through ``bid_values_virtual`` and then the partition rule."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from spectrum_auction.errors import SpectrumAuctionError
 from spectrum_auction.multi_lte import (
     MC_SAMPLES,
     _type_pool,
+    bid_values_shared,
     bid_values_virtual,
     expected_payoff_multi,
     shared_participation_cutoff,
@@ -41,11 +46,22 @@ def partition_rows(bids, c):
     return coop, np.where(coop, np.minimum(c, second), 0.0)
 
 
-def full_pool_payoff(cfg, c, n, seed):
-    """Reference estimator over every type of every row."""
+def full_pool_types(cfg, n, seed):
+    """The whole ``(n, k_s + k_a)`` antithetic type matrix."""
     rng = RngStream(seed, 0)
     u = rng.uniforms(n // 2, cfg.k_s + cfg.k_a)
-    types = np.asarray(cfg.dist.inverse_cdf(np.concatenate([u, 1.0 - u])), dtype=float)
+    return np.asarray(cfg.dist.inverse_cdf(np.concatenate([u, 1.0 - u])), dtype=float)
+
+
+def sorted_groups(cfg, n, seed):
+    """Each row's shared types and alone types, each group sorted."""
+    types = full_pool_types(cfg, n, seed)
+    return np.sort(types[:, :cfg.k_s], axis=1), np.sort(types[:, cfg.k_s:], axis=1)
+
+
+def full_pool_payoff(cfg, c, n, seed):
+    """Reference estimator over every type of every row."""
+    types = full_pool_types(cfg, n, seed)
     coop, price = partition_rows(bid_values_virtual(cfg, c, types), c)
     pay = np.where(coop, cfg.r_lte - price, cfg.delta_lte * cfg.r_lte)
     half = n // 2
@@ -149,13 +165,53 @@ def test_estimator_equals_full_pool_reference(k_s, k_a, dist, eta, theta, r_lte,
     assert (bits(mean), bits(se)) == tuple(map(bits, expected))
 
 
-def pool_reserve(cfg, pool, i, source):
+def where_shared_bids(cfg, c, types):
+    """Reference shared bids, coded with ``np.where``: the virtual value
+    where it is at most ``c``, else abstention (+inf)."""
+    v = cfg.eta_apo * np.asarray(types, dtype=float) + cfg.shared_offset
+    return np.where(v <= c, v, math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dist=st.sampled_from([UNIFORM, TRUNC_NORMAL]),
+    eta=st.floats(0.01, 0.99),
+    theta=st.floats(0.01, 0.99),
+    r_lte=st.floats(1.0, 400.0),
+    c=st.floats(0.0, 400.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_shared_bid_rule_equals_its_where_form(dist, eta, theta, r_lte, c, u):
+    """The estimator's reference maps types through
+    ``bid_values_virtual``, so the shared rule is checked here on its
+    own: at the participation cutoff type and one ulp either side of
+    it, inside the support, at NaN, and on 0-d input."""
+    cfg = MultiMarketConfig(2, 2, dist, eta, 0.4, theta, r_lte)
+    cutoff = shared_participation_cutoff(cfg, c)
+    types = np.array([
+        cutoff,
+        math.nextafter(cutoff, -math.inf),
+        math.nextafter(cutoff, math.inf),
+        dist.r_min + u * dist.span,
+        dist.r_min,
+        dist.r_max,
+        math.nan,
+    ])
+    want = where_shared_bids(cfg, c, types)
+    assert bid_values_shared(cfg, c, types).tobytes() == want.tobytes()
+    for t, w in zip(types, want):
+        got = bid_values_shared(cfg, c, np.float64(t))
+        assert np.shape(got) == () and bits(got) == bits(w)
+
+
+def pool_reserve(cfg, shared, alone, i, source):
     """A reserve on one of row ``i``'s own boundaries: a shared
     seller's raw virtual value, an alone type, the row's second-lowest
     raw value, or the alone market's abstention threshold at reserve
-    ``A1``, each computed here independently of the estimator."""
-    vs1, vs2 = cfg.eta_apo * pool[:2, i] + cfg.shared_offset
-    a1, a2 = pool[2:, i]
+    ``A1``, each computed here from the sorted groups, independently of
+    the estimator."""
+    vs1, vs2 = cfg.eta_apo * shared[i, :2] + cfg.shared_offset
+    a1, a2 = alone[i, :2]
     if source == "threshold":
         return solve_strategy(cfg.alone_market.sellers, float(a1)).cutoff
     values = {"vs1": vs1, "vs2": vs2, "a1": a1, "a2": a2}
@@ -184,9 +240,9 @@ def test_estimator_at_reserves_taken_from_the_pool(
     values hit every ``<=`` boundary of the bid maps and the ties at
     ``c``."""
     cfg = MultiMarketConfig(k_s, k_a, dist, eta, 0.4, theta, r_lte)
-    pool = _type_pool(dist, k_s, k_a, n, seed)
+    shared, alone = sorted_groups(cfg, n, seed)
     try:
-        c = pool_reserve(cfg, pool, row % n, source)
+        c = pool_reserve(cfg, shared, alone, row % n, source)
     except SpectrumAuctionError:
         return
     if nudge:
@@ -232,17 +288,22 @@ def test_reference_covers_shared_winners_and_full_abstention():
 # ---------------------------------------------------------------------------
 
 
-def test_pool_is_four_sorted_read_only_rows():
-    dist = TypeDistribution.uniform(40, 210)
-    pool = _type_pool(dist, 3, 4, 1000, 5)
-    assert pool.shape == (4, 1000)
-    assert pool.flags.c_contiguous and not pool.flags.writeable
-    with pytest.raises(ValueError):
-        pool[0, 0] = 0.0
-    u = RngStream(5, 0).uniforms(500, 7)
-    types = dist.inverse_cdf(np.concatenate([u, 1.0 - u]))
-    shared, alone = np.sort(types[:, :3], axis=1), np.sort(types[:, 3:], axis=1)
-    assert np.array_equal(pool, np.stack([shared[:, 0], shared[:, 1], alone[:, 0], alone[:, 1]]))
+def test_pool_is_three_read_only_row_values():
+    cfg = MultiMarketConfig(3, 4, TypeDistribution.uniform(40, 210), 0.3, 0.4, 0.5, 200.0)
+    table = _type_pool(cfg, 1000, 5)
+    assert isinstance(table, tuple) and len(table) == 3
+    for a in table:
+        assert a.shape == (1000,) and a.dtype == float
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    shared, alone = sorted_groups(cfg, 1000, 5)
+    vs = cfg.eta_apo * shared[:, :2] + cfg.shared_offset
+    q = second_price_rows(np.concatenate([vs, alone[:, :2]], axis=1), math.inf)[1]
+    vs1, got_q, a1 = table
+    assert vs1.tobytes() == vs[:, 0].tobytes()
+    assert got_q.tobytes() == q.tobytes()
+    assert a1.tobytes() == alone[:, 0].tobytes()
 
 
 def test_pool_draws_once_per_cache_key(monkeypatch):
@@ -262,7 +323,11 @@ def test_pool_draws_once_per_cache_key(monkeypatch):
     expected_payoff_multi(cfg, 120.0, n=400, seed=10)
     expected_payoff_multi(cfg, 120.0, n=402, seed=9)
     assert calls == [(400, 5), (400, 5), (402, 5)]
-    assert multi_lte._type_pool(cfg.dist, 3, 2, 400, 9).shape == (4, 400)
+    assert len(multi_lte._type_pool(cfg, 400, 9)) == 3
+    assert calls == [(400, 5), (400, 5), (402, 5)]
+    # The key is the whole market: another theta draws its own pool.
+    expected_payoff_multi(replace(cfg, theta_lte=0.6), 120.0, n=400, seed=9)
+    assert calls == [(400, 5), (400, 5), (402, 5), (400, 5)]
 
 
 @pytest.mark.parametrize("c", [45.0, 120.0, 190.0, 199.0, 260.0])

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from spectrum_auction import MultiMarketConfig, RngStream, TypeDistribution, classify_regime
 from spectrum_auction.cli import main
+from spectrum_auction.equilibrium import bid_values
 from spectrum_auction.multi_lte import (
     _resolve_virtual_values,
-    bid_values_alone,
     bid_values_shared,
     shared_participation_cutoff,
 )
@@ -117,5 +117,5 @@ def test_shared_bids_never_exceed_the_reserve(eta, theta, r_lte, c, u):
     bids = bid_values_shared(cfg, c, types)
     finite = bids[np.isfinite(bids)]
     assert (finite <= c).all()
-    values = np.concatenate([bids[:2], bid_values_alone(cfg, c, np.array([60.0, 70.0]))])
+    values = np.concatenate([bids[:2], bid_values(cfg.alone_market, c, np.array([60.0, 70.0]))])
     _resolve_virtual_values(values, 2, cfg, c, RngStream(0, 0))
