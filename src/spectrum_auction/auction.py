@@ -64,6 +64,11 @@ class AuctionOutcome:
     channel: int
     r_pay: float
 
+    @property
+    def price(self) -> float:
+        """What the buyer gives up when cooperating: the allocated rate."""
+        return self.r_pay
+
 
 def _rank(values: np.ndarray, c: float) -> tuple[np.ndarray | None, float]:
     """The draw-free part of the auction rule on a bid array: refuse a
@@ -142,23 +147,26 @@ def resolve(profile: BidProfile, c: float, rng: RngStream) -> AuctionOutcome:
 
 
 def lte_payoff(outcome: AuctionOutcome, cfg: MarketConfig) -> float:
-    """Buyer's rate: full throughput minus the payment when cooperating,
-    discounted throughput under competition."""
+    """Buyer's rate: full throughput minus the outcome's price when
+    cooperating, discounted throughput under competition."""
     if outcome.mode is Mode.COOPERATION:
-        return cfg.r_lte - outcome.r_pay
+        return cfg.r_lte - outcome.price
     return cfg.delta_lte * cfg.r_lte
 
 
 def realized_apo_payoffs(
-    outcome: AuctionOutcome, types: Sequence[float], cfg: MarketConfig
+    outcome: AuctionOutcome, types: Sequence[float], cfg: MarketConfig, k_s: int = 0
 ) -> np.ndarray:
     """Per-seller realized rates for one resolved auction.
 
-    The winner's users get the payment; under competition the seller
-    sharing the chosen channel keeps only the discounted rate; everyone
-    else keeps their standalone rate.
+    The first ``k_s`` sellers share their channel with another buyer:
+    they and, under competition, the seller sharing the chosen channel
+    keep only the discounted rate. The winner's users get the payment;
+    everyone else keeps their standalone rate.
     """
     payoffs = np.asarray(types, dtype=float).copy()
+    if k_s:
+        payoffs[:k_s] *= cfg.eta_apo
     if outcome.mode is Mode.COOPERATION:
         payoffs[outcome.winner] = outcome.r_pay
     else:

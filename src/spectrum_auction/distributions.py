@@ -238,7 +238,9 @@ def _std_cdf(z: float) -> float:
 
 
 def _std_pdf(z):
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    # z * z overflows beyond about 1.3e154, where exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ class TypeDistribution:
     """Type law on ``[r_min, r_max]`` with strictly positive density.
 
     ``mu`` and ``sigma`` are the pre-truncation mean and standard
-    deviation; both are ignored for the uniform kind.
+    deviation; the uniform kind takes neither (both stay ``None``).
     """
 
     kind: str
@@ -258,7 +260,7 @@ class TypeDistribution:
     def __post_init__(self):
         """The one place the law's values are checked: each is a finite
         number by :func:`numerics.is_number` (bools and text are not),
-        stored as a float; ``mu`` and ``sigma`` may be ``None`` for the
+        stored as a float; ``mu`` and ``sigma`` must be ``None`` for the
         uniform kind."""
         if self.kind not in (UNIFORM, TRUNCATED_NORMAL):
             raise InvalidDistribution(f"unknown kind {self.kind!r}")
@@ -274,6 +276,10 @@ class TypeDistribution:
         if not (0.0 <= self.r_min < self.r_max):
             raise InvalidDistribution(
                 f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]"
+            )
+        if self.kind == UNIFORM and (self.mu, self.sigma) != (None, None):
+            raise InvalidDistribution(
+                f"a uniform law takes no mu or sigma, got {self.mu}, {self.sigma}"
             )
         if self.kind == TRUNCATED_NORMAL:
             if not self.sigma > 0.0:

@@ -11,6 +11,8 @@ rate subtracts the normalization again when the winner is shared.
 
 Competition never touches a shared seller's channel: the fallback
 coexistence channel is drawn uniformly among the alone sellers only.
+The single-buyer payoff rules settle every outcome, with the virtual
+price as provider 0's price and the ``k_s`` shared sellers discounted.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .auction import AuctionOutcome, BidProfile, Mode, _second_price, realized_apo_payoffs
+from .auction import AuctionOutcome, BidProfile, Mode, _second_price, lte_payoff
+from .auction import realized_apo_payoffs
 from .distributions import TypeDistribution
 from .equilibrium import (
     Bid,
@@ -105,6 +108,14 @@ class MultiAuctionOutcome(AuctionOutcome):
     winner_origin: Origin | None
     virtual_price: float
 
+    @property
+    def price(self) -> float:
+        """Provider 0's price, the virtual price, for either winner origin:
+        with a shared winner provider 0 gets ``theta*R`` minus the adjusted
+        payment ``virtual_price - (1-theta)*R``, which telescopes to
+        ``R - virtual_price``."""
+        return self.virtual_price
+
 
 def virtual_bid(raw: Bid, origin: Origin, cfg: MultiMarketConfig, c: float) -> VirtualBid:
     """Normalize a raw bid: a shared bid adds ``(1-theta) R``. The
@@ -186,30 +197,6 @@ def resolve_multi(
         if b.origin is not expected:
             raise InvalidProfile("virtual bids must list shared sellers first")
     return _resolve_virtual_values(values, k_s, cfg, c, rng)
-
-
-def lte_payoff_multi(outcome: MultiAuctionOutcome, cfg: MultiMarketConfig) -> float:
-    """Provider 0's rate. Under cooperation this equals the throughput
-    minus the second virtual price for either winner origin: for a
-    shared winner, theta*R minus the adjusted payment telescopes to the
-    same quantity."""
-    if outcome.mode is Mode.COOPERATION:
-        return cfg.r_lte - outcome.virtual_price
-    return cfg.delta_lte * cfg.r_lte
-
-
-def apo_payoffs_multi(
-    outcome: MultiAuctionOutcome, types, cfg: MultiMarketConfig
-) -> np.ndarray:
-    """Per-seller rates (shared sellers first).
-
-    A shared non-winner keeps only its discounted rate (its own channel
-    stays shared with another buyer); an alone non-winner keeps its full
-    rate unless competition lands on its channel.
-    """
-    discounted = np.array(types, dtype=float)
-    discounted[: cfg.k_s] *= cfg.eta_apo
-    return realized_apo_payoffs(outcome, discounted, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +362,8 @@ def run_auction_replication_multi(
     types = np.asarray(types, dtype=float)
     vals = bid_values_virtual(cfg, c_star, types)
     outcome = _resolve_virtual_values(vals, cfg.k_s, cfg, c_star, rng)
-    lte = lte_payoff_multi(outcome, cfg)
-    apo = apo_payoffs_multi(outcome, types, cfg)
+    lte = lte_payoff(outcome, cfg)
+    apo = realized_apo_payoffs(outcome, types, cfg, cfg.k_s)
     return lte, apo, lte + float(apo.sum()), types, vals, outcome
 
 
@@ -400,11 +387,7 @@ def _run_replication_multi(
     )
     residual = 0.0
     if outcome.winner_origin is Origin.SHARED:
-        residual = abs(
-            cfg.theta_lte * cfg.r_lte
-            - outcome.r_pay
-            - (cfg.r_lte - outcome.virtual_price)
-        )
+        residual = abs(cfg.theta_lte * cfg.r_lte - outcome.r_pay - fields["auction_lte"])
     return MultiReplicationResult(
         **fields,
         winner_origin=outcome.winner_origin,

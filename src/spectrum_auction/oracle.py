@@ -288,15 +288,25 @@ def best_response_check(
         candidates = set(np.argsort(gains)[-3:].tolist())
         candidates.update(np.nonzero(gains > 0.0)[0].tolist())
         own_samples = pool.payoff_samples(own, r)
+        # Payoffs lie in [0, max(r, c)], so a centred difference is below
+        # 2**(e + 1) in size. Where n squares of that could overflow, the
+        # differences are taken in units of 2**shift; the mean and the
+        # root-mean-square commute with that power of two (short of
+        # subnormal differences), so the results are scaled back exactly.
+        e = math.frexp(max(r, c))[1]
+        shift = max(0, e + 1 - (1023 - pool.n.bit_length()) // 2)
         for idx in sorted(candidates):
             d = deviations[idx]
             diff = pool.payoff_samples(d, r)
             diff -= own_samples
+            if shift:
+                np.ldexp(diff, -shift, out=diff)
             # numpy's mean and std(ddof=1), to the bit, with one mean.
             gain = float(np.add.reduce(diff) / pool.n)
             diff -= gain
             diff *= diff
             eps = 3.0 * (math.sqrt(float(np.add.reduce(diff)) / (pool.n - 1)) / math.sqrt(pool.n))
+            gain, eps = math.ldexp(gain, shift), math.ldexp(eps, shift)
             if gain > max_gain:
                 max_gain = gain
                 worst = (r, d)

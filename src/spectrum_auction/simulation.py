@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .auction import Mode, _resolve_values, lte_payoff, realized_apo_payoffs
+from .auction import AuctionOutcome, Mode, _resolve_values, lte_payoff, realized_apo_payoffs
 from .equilibrium import MarketConfig, bid_values, require_count, require_reserve
 from .provider import optimize_reserve
 from .rng import _U64_MAX, DrawReplay, RngStream
@@ -118,18 +118,15 @@ def run_auction_replication(cfg: MarketConfig, c_star: float, rng: RngStream, ty
 
 
 def coexistence_benchmark(cfg, types, rng: RngStream, k_s: int = 0):
-    """The random-coexistence benchmark: the buyer shares a uniformly
-    chosen channel among the sellers after the first ``k_s``, who share
-    theirs with another buyer and keep only their discounted rates.
-    ``k_s = 0`` is the single-buyer benchmark. Consumes one draw and
-    returns ``(lte_payoff, apo_payoffs, welfare, channel)``."""
-    types = np.asarray(types, dtype=float)
-    channel = k_s + rng.pick(len(types) - k_s)
-    lte = cfg.delta_lte * cfg.r_lte
-    apo = types.copy()
-    apo[:k_s] *= cfg.eta_apo
-    apo[channel] *= cfg.eta_apo
-    return lte, apo, lte + float(apo.sum()), channel
+    """The random-coexistence benchmark: the auction's competition
+    outcome, settled by its payoff rules, on a channel drawn uniformly
+    among the sellers after the first ``k_s`` (who share theirs with
+    another buyer). ``k_s = 0`` is the single-buyer benchmark. Consumes
+    one draw; returns ``(lte_payoff, apo_payoffs, welfare, channel)``."""
+    outcome = AuctionOutcome(Mode.COMPETITION, None, k_s + rng.pick(len(types) - k_s), 0.0)
+    lte = lte_payoff(outcome, cfg)
+    apo = realized_apo_payoffs(outcome, types, cfg, k_s)
+    return lte, apo, lte + float(apo.sum()), outcome.channel
 
 
 def run_benchmark_replication(cfg: MarketConfig, types, rng: RngStream):

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import InvalidDistribution, RngStream, TypeDistribution
-from spectrum_auction.cli import parse_market
+from spectrum_auction.cli import main, parse_market
 from spectrum_auction.errors import InvalidConfig
 from spectrum_auction.numerics import composite_simpson
 
@@ -45,6 +47,22 @@ class TestConstruction:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidDistribution):
             TypeDistribution("lognormal", 50, 200)
+
+    @pytest.mark.parametrize("moments", [{"mu": 3.0}, {"sigma": 7.0}, {"mu": 3.0, "sigma": 7.0}])
+    def test_uniform_refuses_moments(self, moments):
+        """A uniform law has no mean or spread parameter; a number given
+        for one used to be ignored, and keyed its own caches."""
+        with pytest.raises(InvalidDistribution, match="uniform law takes no mu or sigma"):
+            TypeDistribution("uniform", 50, 200, **moments)
+
+    def test_cli_refuses_moments_on_a_uniform_law(self, tmp_path, capsys):
+        dist = {"kind": "uniform", "r_min": 50, "r_max": 200, "mu": 125, "sigma": 50}
+        market = {"k": 4, "eta_apo": 0.3, "delta_lte": 0.4, "r_lte": 95.0, "dist": dist}
+        config = tmp_path / "uniform.json"
+        config.write_text(json.dumps({"market": market, "c": 55.0}))
+        assert main(["equilibrium", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "message": "a uniform law takes no mu or sigma, got 125.0, 50.0"}
 
     def test_config_rejects_unknown_keys(self):
         dist = {"kind": "uniform", "r_min": 50, "r_max": 200, "median": 10}
@@ -162,3 +180,26 @@ class TestSampling:
         ecdf_lo = np.arange(0, n, n // 1000) / n
         ks = np.max(np.abs(cdf_vals - ecdf_lo))
         assert ks < 0.01
+
+
+class TestVeryWideSupport:
+    """TN(125, 50) over [50, 1e297]: standardized types reach 2e295, far
+    beyond the 1.3e154 at which ``z * z`` overflows."""
+
+    LAW = {"kind": "truncated_normal", "mu": 125.0, "sigma": 50.0, "r_min": 50.0, "r_max": 1e297}
+
+    def test_pdf_in_the_far_tail_is_zero_without_a_warning(self):
+        dist = TypeDistribution(**self.LAW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dist.pdf(np.array([125.0, 1e156, 1e200, 1e297]))
+        assert out[0] > 0.0 and (out[1:] == 0.0).all()
+
+    def test_optimize_runs_without_a_warning(self, tmp_path, capsys):
+        market = {"k": 4, "eta_apo": 0.3, "delta_lte": 0.4, "r_lte": 95.0, "dist": self.LAW}
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"market": market}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["optimize", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)

@@ -1,6 +1,6 @@
 """The single-buyer auction is the multi-buyer rule with no shared
-sellers: one resolution kernel, one benchmark, one seller payoff, one
-bid rule per population."""
+sellers: one resolution kernel, one benchmark, one payoff rule for
+both buyer models and the benchmark, one bid rule per population."""
 import math
 
 import numpy as np
@@ -17,10 +17,15 @@ from spectrum_auction import (
     bid_shared,
     solve_strategy,
 )
-from spectrum_auction.auction import _resolve_values, _second_price, realized_apo_payoffs
+from spectrum_auction.auction import (
+    AuctionOutcome,
+    _resolve_values,
+    _second_price,
+    lte_payoff,
+    realized_apo_payoffs,
+)
 from spectrum_auction.multi_lte import (
     _resolve_virtual_values,
-    apo_payoffs_multi,
     bid_values_shared,
     run_benchmark_replication_multi,
 )
@@ -112,8 +117,56 @@ def test_multi_seller_payoff_discounts_shared_then_reuses_single(multi_market):
     discounted[:2] *= multi_market.eta_apo
     for values in ([C, math.inf, 90.0, 120.0, math.inf], [math.inf] * 5, [130.0, C, C, C, C]):
         out = _resolve_virtual_values(np.array(values), 2, multi_market, C, RngStream(3, 0))
-        assert np.array_equal(apo_payoffs_multi(out, types, multi_market),
+        assert np.array_equal(realized_apo_payoffs(out, types, multi_market, 2),
                               realized_apo_payoffs(out, discounted, multi_market))
+
+
+def reference_apo(types, eta, k_s, winner, r_pay, channel):
+    """Sellers' rates by the paper's rule, one float at a time: the
+    first ``k_s`` keep their discounted rates, then the winner (if any)
+    gets ``r_pay``, or else the competition channel is discounted."""
+    out = [float(t) for t in types]
+    for i in range(k_s):
+        out[i] = out[i] * eta
+    if winner is not None:
+        out[winner] = r_pay
+    else:
+        out[channel] = out[channel] * eta
+    return out
+
+
+@settings(max_examples=300)
+@given(st.data(), st.booleans(), st.integers(0, 2**32))
+def test_one_payoff_rule_settles_both_buyer_models_and_the_benchmark(
+    market_k4, multi_market, data, multi, seed
+):
+    k = data.draw(st.integers(2, 6))
+    k_s = data.draw(st.integers(0, k - 2))
+    values = np.array(data.draw(st.lists(bid_levels, min_size=k, max_size=k)))
+    types = data.draw(st.lists(st.floats(50.0, 200.0), min_size=k, max_size=k))
+    if multi:
+        cfg = multi_market
+        out = _resolve_virtual_values(values, k_s, cfg, C, RngStream(seed, 0))
+    else:
+        cfg = market_k4
+        out = AuctionOutcome(*_second_price(values, C, RngStream(seed, 0), k_s))
+    eta, r_lte = cfg.eta_apo, cfg.r_lte
+
+    got = realized_apo_payoffs(out, types, cfg, k_s)
+    assert got.tolist() == reference_apo(types, eta, k_s, out.winner, out.r_pay, out.channel)
+    if out.mode is Mode.COMPETITION:
+        assert lte_payoff(out, cfg) == cfg.delta_lte * r_lte
+    elif multi:
+        assert lte_payoff(out, cfg) == r_lte - out.virtual_price
+    else:
+        assert lte_payoff(out, cfg) == r_lte - out.r_pay
+
+    lte, apo, welfare, channel = coexistence_benchmark(cfg, types, RngStream(seed, 1), k_s)
+    assert k_s <= channel < k
+    ref = reference_apo(types, eta, k_s, None, 0.0, channel)
+    assert apo.tolist() == ref
+    assert lte == cfg.delta_lte * r_lte
+    assert welfare == lte + float(np.sum(ref))
 
 
 def test_gain_summary_fields():

@@ -24,12 +24,10 @@ from spectrum_auction import (
     run_experiment_multi,
     virtual_bid,
 )
-from spectrum_auction.auction import _resolve_values
+from spectrum_auction.auction import _resolve_values, lte_payoff, realized_apo_payoffs
 from spectrum_auction.equilibrium import bid_values
 from spectrum_auction.multi_lte import (
-    apo_payoffs_multi,
     feasible_reserve_bounds,
-    lte_payoff_multi,
     run_benchmark_replication_multi,
     shared_participation_cutoff,
 )
@@ -149,7 +147,7 @@ class TestResolveMulti:
         assert out.winner_origin is Origin.SHARED
         assert out.virtual_price == 120.0
         assert out.r_pay == 20.0
-        lte = lte_payoff_multi(out, multi_market)
+        lte = lte_payoff(out, multi_market)
         assert lte == 80.0
         # the identity theta*R - r_pay == R - price holds exactly
         assert multi_market.theta_lte * multi_market.r_lte - out.r_pay == lte
@@ -161,7 +159,7 @@ class TestResolveMulti:
             out = resolve_multi(vbids, multi_market, 140.0, RngStream(1, i))
             assert out.mode is Mode.COMPETITION
             channels.add(out.channel)
-            assert lte_payoff_multi(out, multi_market) == pytest.approx(80.0)
+            assert lte_payoff(out, multi_market) == pytest.approx(80.0)
         assert channels == {2, 3}
 
     def test_alone_winner_second_price(self, multi_market):
@@ -207,13 +205,15 @@ class TestPayoffsMulti:
             VirtualBid(90.0, Origin.ALONE),
         ]
         out = resolve_multi(vbids, multi_market, 140.0, RngStream(0, 0))
-        got = apo_payoffs_multi(out, (100.0, 120.0, 70.0, 90.0), multi_market)
+        types = (100.0, 120.0, 70.0, 90.0)
+        got = realized_apo_payoffs(out, types, multi_market, multi_market.k_s)
         assert got.tolist() == [30.0, 36.0, 90.0, 90.0]
 
     def test_alone_all_abstain_share(self, multi_market):
         vbids = [VirtualBid(None, o) for o in (Origin.SHARED,) * 2 + (Origin.ALONE,) * 2]
         out = resolve_multi(vbids, multi_market, 90.0, RngStream(2, 0))
-        got = apo_payoffs_multi(out, (100.0, 100.0, 100.0, 100.0), multi_market)
+        types = (100.0, 100.0, 100.0, 100.0)
+        got = realized_apo_payoffs(out, types, multi_market, multi_market.k_s)
         # competition channel gets eta * r, the other alone seller keeps r
         alone = sorted(got[2:].tolist())
         assert alone == [30.0, 100.0]
@@ -229,7 +229,8 @@ class TestPayoffsMulti:
             VirtualBid(None, Origin.ALONE),
         ]
         out = resolve_multi(vbids, multi_market, 140.0, RngStream(0, 0))
-        got = apo_payoffs_multi(out, (100.0, 120.0, 70.0, 150.0), multi_market)
+        types = (100.0, 120.0, 70.0, 150.0)
+        got = realized_apo_payoffs(out, types, multi_market, multi_market.k_s)
         assert got[3] == 150.0
 
 

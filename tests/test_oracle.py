@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spectrum_auction import (
     MarketConfig,
     NoRootInInterval,
     RngStream,
+    TypeDistribution,
 )
 from spectrum_auction.oracle import (
     CertificationReport,
@@ -251,3 +253,30 @@ class TestCertificationPins:
             )
         e = err.value
         assert (e.bidder_type, e.deviation, e.gain, e.epsilon) == refusal
+
+
+class TestVeryWideSupport:
+    """TN(125, 50) over [50, 1e297]: per-sample payoffs reach 1e297, so
+    the squared deviations of the exact re-check overflow unless they
+    are taken in scaled units."""
+
+    @pytest.fixture(scope="class")
+    def wide_market(self):
+        dist = TypeDistribution.truncated_normal(125.0, 50.0, 50.0, 1e297)
+        return MarketConfig(4, dist, 0.3, 0.4, 95.0)
+
+    def test_cap_past_threshold_mutation_is_refused(self, wide_market):
+        with pytest.raises(CertificationFailed) as err:
+            best_response_check(
+                wide_market, 55.0, samples=2000, rng=RngStream(0, 0),
+                strategy=mutated_cap_bid_past_threshold(wide_market, 55.0),
+            )
+        e = err.value
+        assert math.isfinite(e.epsilon) and e.gain > e.epsilon
+
+    def test_equilibrium_certifies_with_a_finite_epsilon(self, wide_market):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = best_response_check(wide_market, 55.0, samples=2000, rng=RngStream(0, 0))
+        assert report.certified and math.isfinite(report.epsilon)
+        assert report.max_gain <= report.epsilon
