@@ -8,6 +8,7 @@ falls back to coexisting on a uniformly chosen channel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -16,6 +17,7 @@ import numpy as np
 
 from .equilibrium import ABSTAIN_VALUE, Bid, MarketConfig
 from .errors import InvalidProfile
+from .numerics import row_sum
 from .rng import RngStream
 
 
@@ -70,29 +72,31 @@ class AuctionOutcome:
         return self.r_pay
 
 
-def _rank(values: np.ndarray, c: float) -> tuple[np.ndarray | None, float]:
-    """The draw-free part of the auction rule on a bid array: refuse a
-    numeric bid above the reserve ``c``, then return the sellers tied
-    at the lowest bid and the price. A unique lowest bidder is paid the
-    reserve-capped second-lowest bid, tied bidders the tied bid. When
-    everyone abstains there is no lowest bidder: ``(None, 0.0)``."""
-    finite = values[np.isfinite(values)]
-    if finite.size and finite.max() > c:
-        raise InvalidProfile("numeric bids must not exceed the reserve rate")
-    m = values.min()
+def _rank(values: Sequence[float], c: float) -> tuple[list[int] | None, float]:
+    """The draw-free part of the auction rule on a bid row (abstention
+    as +inf): refuse a numeric bid above the reserve ``c``, then return
+    the sellers tied at the lowest bid and the price. A unique lowest
+    bidder is paid the reserve-capped second-lowest bid, tied bidders
+    the tied bid. When everyone abstains there is no lowest bidder:
+    ``(None, 0.0)``. Sorting and comparing round nothing, so on Python
+    floats this gives numpy's bits."""
+    ranked = sorted(values)
+    m = ranked[0]
     if math.isinf(m):
         return None, 0.0
-    tied = np.nonzero(values == m)[0]
+    if ranked[bisect_left(ranked, math.inf) - 1] > c:
+        raise InvalidProfile("numeric bids must not exceed the reserve rate")
+    tied = [i for i, v in enumerate(values) if v == m]
     if len(tied) == 1:
-        return tied, min(c, float(np.delete(values, tied[0]).min()))
-    return tied, float(m)
+        return tied, min(c, ranked[1])
+    return tied, m
 
 
 def _second_price(
-    values: np.ndarray, c: float, rng: RngStream, k_s: int = 0
+    values: Sequence[float], c: float, rng: RngStream, k_s: int = 0
 ) -> tuple[Mode, int | None, int, float]:
-    """The auction rule on a bid array; returns ``(mode, winner,
-    channel, price)``.
+    """The auction rule on a bid row (see :func:`_rank`); returns
+    ``(mode, winner, channel, price)``.
 
     The first ``k_s`` sellers share their channel with another buyer,
     so the competition channel is drawn among the rest; ``k_s = 0`` is
@@ -103,7 +107,7 @@ def _second_price(
     tied, price = _rank(values, c)
     if tied is None:
         return Mode.COMPETITION, None, k_s + rng.pick(len(values) - k_s), 0.0
-    winner = int(tied[0] if len(tied) == 1 else tied[rng.pick(len(tied))])
+    winner = tied[0] if len(tied) == 1 else tied[rng.pick(len(tied))]
     return Mode.COOPERATION, winner, winner, price
 
 
@@ -130,9 +134,9 @@ def second_price_rows(bids: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _resolve_values(values: np.ndarray, c: float, rng: RngStream) -> AuctionOutcome:
-    """Array-level single-buyer auction: the shared rule with no shared
-    sellers."""
-    return AuctionOutcome(*_second_price(values, c, rng))
+    """Single-buyer auction on a numpy bid row: the shared rule, on the
+    row's Python floats, with no shared sellers."""
+    return AuctionOutcome(*_second_price(values.tolist(), c, rng))
 
 
 def resolve(profile: BidProfile, c: float, rng: RngStream) -> AuctionOutcome:
@@ -154,24 +158,33 @@ def lte_payoff(outcome: AuctionOutcome, cfg: MarketConfig) -> float:
     return cfg.delta_lte * cfg.r_lte
 
 
-def realized_apo_payoffs(
-    outcome: AuctionOutcome, types: Sequence[float], cfg: MarketConfig, k_s: int = 0
-) -> np.ndarray:
-    """Per-seller realized rates for one resolved auction.
+def settle(outcome: AuctionOutcome, types: list[float], cfg, k_s: int = 0):
+    """Both sides of one resolved auction, on Python floats: ``(buyer's
+    rate, the sellers' rates, their total, welfare)``.
 
     The first ``k_s`` sellers share their channel with another buyer:
     they and, under competition, the seller sharing the chosen channel
     keep only the discounted rate. The winner's users get the payment;
     everyone else keeps their standalone rate.
     """
-    payoffs = np.asarray(types, dtype=float).copy()
-    if k_s:
-        payoffs[:k_s] *= cfg.eta_apo
+    rates = list(types)
+    for i in range(k_s):
+        rates[i] *= cfg.eta_apo
     if outcome.mode is Mode.COOPERATION:
-        payoffs[outcome.winner] = outcome.r_pay
+        rates[outcome.winner] = outcome.r_pay
     else:
-        payoffs[outcome.channel] *= cfg.eta_apo
-    return payoffs
+        rates[outcome.channel] *= cfg.eta_apo
+    lte = lte_payoff(outcome, cfg)
+    total = row_sum(rates)
+    return lte, rates, total, lte + total
+
+
+def realized_apo_payoffs(
+    outcome: AuctionOutcome, types: Sequence[float], cfg: MarketConfig, k_s: int = 0
+) -> np.ndarray:
+    """Per-seller realized rates for one resolved auction, as an array
+    (see :func:`settle`)."""
+    return np.array(settle(outcome, np.asarray(types, dtype=float).tolist(), cfg, k_s)[1])
 
 
 def expected_apo_payoff(
@@ -196,7 +209,7 @@ def expected_apo_payoff(
         raise InvalidProfile(f"a profile of {len(values)} bids does not fit {cfg.k} sellers")
     if not 0 <= k < len(values):
         raise InvalidProfile(f"seller index {k} is outside a profile of {len(values)} bids")
-    tied, price = _rank(values, c)
+    tied, price = _rank(values.tolist(), c)
     r_k = float(types[k])
     if tied is None:
         return cfg.externality_share * r_k

@@ -451,7 +451,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": "io", "message": str(exc)}) + "\n")
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array of more than 2**63 bytes with a ValueError.
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         sys.stderr.write(json.dumps({"error": "memory", "message": str(exc)}) + "\n")
         return 2
     except SpectrumAuctionError as exc:

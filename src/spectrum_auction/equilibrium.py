@@ -249,8 +249,12 @@ def _threshold_residual(cfg: SellerMarket, c: float, r, f_floor: float):
     A ``float`` ``r`` (the bisection's) stays a Python float throughout,
     and an array ``r`` (the uniqueness scan's) is computed in six reused
     buffers. Both paths run the same IEEE operations in the same order,
-    ``((comb * mass**n) * surv**(k-1-n)) * (c-r) / (n+1)`` per term, and
-    ``**`` is the libm ``pow`` on Python floats and in ``np.power``.
+    ``((comb * mass**n) * surv**(k-1-n)) * (c-r) / (n+1)`` per term, but
+    not the same ``**``: Python floats call the libm ``pow``, while
+    ``np.power`` may run a SIMD pow (numpy 2.4 does on AVX-512) that is
+    1 ulp off ``pow`` for some bases, even at exponent 2 or 3. So the two
+    paths can differ in the last bits; the scan and the bisection share
+    the residual's sign away from the root, not its bits.
     Any other scalar ``r`` is taken as a float.
     """
     k = cfg.k

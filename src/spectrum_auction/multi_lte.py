@@ -23,8 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .auction import AuctionOutcome, BidProfile, Mode, _second_price, lte_payoff
-from .auction import realized_apo_payoffs
+from .auction import AuctionOutcome, BidProfile, Mode, _second_price, settle
 from .distributions import TypeDistribution
 from .equilibrium import (
     Bid,
@@ -39,7 +38,7 @@ from .equilibrium import (
 )
 from .errors import InfeasibleBid, InvalidProfile
 from .provider import OptimalReserve, _search_reserve
-from .rng import RngStream
+from .rng import DrawReplay, RngStream
 from .simulation import ExperimentConfig, ExperimentResult, GainSummary, ReplicationRecord
 from .simulation import coexistence_benchmark, experiment, gain_summary, replicate
 
@@ -172,10 +171,10 @@ def bid_values_virtual(cfg: MultiMarketConfig, c: float, types: np.ndarray) -> n
 def _resolve_virtual_values(
     values: np.ndarray, k_s: int, cfg: MultiMarketConfig, c: float, rng: RngStream
 ) -> MultiAuctionOutcome:
-    """Array-level resolution of virtual bids; the first ``k_s`` columns
-    are shared sellers. A shared winner's allocated rate is the virtual
-    price minus the normalization offset."""
-    mode, winner, channel, price = _second_price(values, c, rng, k_s)
+    """Resolution of a numpy row of virtual bids, on its Python floats;
+    the first ``k_s`` columns are shared sellers. A shared winner's
+    allocated rate is the virtual price minus the normalization offset."""
+    mode, winner, channel, price = _second_price(values.tolist(), c, rng, k_s)
     if mode is Mode.COMPETITION:
         return MultiAuctionOutcome(mode, None, channel, 0.0, None, 0.0)
     if winner < k_s:
@@ -362,9 +361,8 @@ def run_auction_replication_multi(
     types = np.asarray(types, dtype=float)
     vals = bid_values_virtual(cfg, c_star, types)
     outcome = _resolve_virtual_values(vals, cfg.k_s, cfg, c_star, rng)
-    lte = lte_payoff(outcome, cfg)
-    apo = realized_apo_payoffs(outcome, types, cfg, cfg.k_s)
-    return lte, apo, lte + float(apo.sum()), types, vals, outcome
+    lte, apo, _, welfare = settle(outcome, types.tolist(), cfg, cfg.k_s)
+    return lte, np.array(apo), welfare, types, vals, outcome
 
 
 def run_benchmark_replication_multi(cfg: MultiMarketConfig, types, rng: RngStream):
@@ -374,17 +372,11 @@ def run_benchmark_replication_multi(cfg: MultiMarketConfig, types, rng: RngStrea
 
 
 def _run_replication_multi(
-    cfg: MultiMarketConfig, c_star: float, rep: int, types, tail
+    cfg: MultiMarketConfig, c_star: float, rep: int, types, vals, tail
 ) -> MultiReplicationResult:
-    fields, outcome = replicate(
-        run_auction_replication_multi,
-        run_benchmark_replication_multi,
-        cfg,
-        c_star,
-        rep,
-        types,
-        tail,
-    )
+    rng = DrawReplay(tail)
+    outcome = _resolve_virtual_values(vals, cfg.k_s, cfg, c_star, rng)
+    fields = replicate(cfg, rep, types, vals, outcome, rng, cfg.k_s)
     residual = 0.0
     if outcome.winner_origin is Origin.SHARED:
         residual = abs(cfg.theta_lte * cfg.r_lte - outcome.r_pay - fields["auction_lte"])
@@ -399,10 +391,9 @@ def _run_replication_multi(
 def _run_block_multi(
     cfg: MultiMarketConfig, c_star: float, types, tails
 ) -> list[MultiReplicationResult]:
-    return [
-        _run_replication_multi(cfg, c_star, rep, types[rep], tails[rep])
-        for rep in range(len(types))
-    ]
+    vals = bid_values_virtual(cfg, c_star, types)
+    rows = zip(types.tolist(), vals, tails.tolist())
+    return [_run_replication_multi(cfg, c_star, rep, *row) for rep, row in enumerate(rows)]
 
 
 def summarize_multi(reps, c_star: float) -> MultiMetricsSummary:

@@ -28,6 +28,18 @@ def is_finite(value) -> bool:
         return False
 
 
+def row_sum(xs: Sequence[float]) -> float:
+    """``np.sum`` of a row of floats, bit for bit. Below eight elements
+    numpy adds left to right from 0.0, which this loop repeats on Python
+    floats; from eight on its pairwise sum unrolls, so numpy runs it."""
+    if len(xs) >= 8:
+        return float(np.sum(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def sign_change_brackets(xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
     """Bracketing intervals for roots of a sampled continuous function.
 

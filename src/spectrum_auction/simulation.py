@@ -3,14 +3,16 @@ benchmark, relative gains, and a centralized welfare upper bound.
 
 Replication ``i`` owns stream ``(master_seed, i)``. Before any
 replication runs, the experiment takes the first K+2 uniforms of every
-stream (K sellers) and maps the first K of each row to types with one
-inverse-CDF call over the whole (replications, K) block. The last two
-draws of a row are its tail, replayed in order: the auction's tie-break
-or competition pick (only when one is needed) reads draw K, and the
-benchmark channel pick reads the next unread one, draw K+1 after an
-auction pick and draw K otherwise. This is the order a replication
+stream (K sellers) in one numpy pass and maps the first K of each row
+to types with one inverse-CDF call over the whole (replications, K)
+block. The last two draws of a row are its tail, replayed in order:
+the auction's tie-break or competition pick (only when one is needed)
+reads draw K, and the benchmark channel pick reads the next unread
+one, draw K+1 after an auction pick and draw K otherwise. This is the order a replication
 drawing one value at a time from its stream would consume. Every
-replication runs in the calling process, in index order.
+replication runs in the calling process, in index order, on Python
+floats: the block's bids come from one call over its type matrix, and
+each row's auction, payoffs and welfare give the numpy rule's bits.
 """
 from __future__ import annotations
 
@@ -19,12 +21,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .auction import AuctionOutcome, Mode, _resolve_values, lte_payoff, realized_apo_payoffs
+from .auction import AuctionOutcome, Mode, _resolve_values, settle
 from .equilibrium import MarketConfig, bid_values, require_count, require_reserve
+from .numerics import row_sum
 from .provider import optimize_reserve
 from .rng import _U64_MAX, DrawReplay, RngStream
 
 SWEEP_KEYS = ("r_lte", "k", "delta_lte", "eta_apo")
+# Streams whose first draws are taken in one pass: it bounds the open
+# streams and the pass's temporaries at about 2 MB.
+STREAM_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -111,22 +117,26 @@ def run_auction_replication(cfg: MarketConfig, c_star: float, rng: RngStream, ty
     types = np.asarray(types, dtype=float)
     bids = bid_values(cfg, c_star, types)
     outcome = _resolve_values(bids, c_star, rng)
-    lte = lte_payoff(outcome, cfg)
-    apo = realized_apo_payoffs(outcome, types, cfg)
-    welfare = lte + float(apo.sum())
-    return lte, apo, welfare, types, bids, outcome
+    lte, apo, _, welfare = settle(outcome, types.tolist(), cfg)
+    return lte, np.array(apo), welfare, types, bids, outcome
+
+
+def coexist(cfg, types: list[float], rng, k_s: int = 0):
+    """The random-coexistence benchmark on Python floats: the auction's
+    competition outcome on a channel drawn uniformly among the sellers
+    after the first ``k_s`` (who share theirs with another buyer),
+    settled by the auction's payoff rules. Consumes one draw; returns
+    :func:`auction.settle`'s tuple and the channel."""
+    channel = k_s + rng.pick(len(types) - k_s)
+    return *settle(AuctionOutcome(Mode.COMPETITION, None, channel, 0.0), types, cfg, k_s), channel
 
 
 def coexistence_benchmark(cfg, types, rng: RngStream, k_s: int = 0):
-    """The random-coexistence benchmark: the auction's competition
-    outcome, settled by its payoff rules, on a channel drawn uniformly
-    among the sellers after the first ``k_s`` (who share theirs with
-    another buyer). ``k_s = 0`` is the single-buyer benchmark. Consumes
-    one draw; returns ``(lte_payoff, apo_payoffs, welfare, channel)``."""
-    outcome = AuctionOutcome(Mode.COMPETITION, None, k_s + rng.pick(len(types) - k_s), 0.0)
-    lte = lte_payoff(outcome, cfg)
-    apo = realized_apo_payoffs(outcome, types, cfg, k_s)
-    return lte, apo, lte + float(apo.sum()), outcome.channel
+    """The random-coexistence benchmark (see :func:`coexist`);
+    ``k_s = 0`` is the single-buyer one. Returns ``(lte_payoff,
+    apo_payoffs, welfare, channel)``."""
+    lte, apo, _, welfare, channel = coexist(cfg, np.asarray(types, dtype=float).tolist(), rng, k_s)
+    return lte, np.array(apo), welfare, channel
 
 
 def run_benchmark_replication(cfg: MarketConfig, types, rng: RngStream):
@@ -143,53 +153,49 @@ def social_welfare_max(cfg: MarketConfig, types) -> float:
     the buyer transmits interference-free, (iii) the buyer sharing one
     seller's channel.
     """
-    types = np.asarray(types, dtype=float)
-    total = float(types.sum())
+    types = [float(t) for t in types]
+    total = row_sum(types)
     best = total
-    for k in range(len(types)):
-        others = total - float(types[k])
+    for t in types:
+        others = total - t
         best = max(best, cfg.r_lte + others)
-        best = max(best, cfg.delta_lte * cfg.r_lte + cfg.eta_apo * float(types[k]) + others)
+        best = max(best, cfg.delta_lte * cfg.r_lte + cfg.eta_apo * t + others)
     return best
 
 
-def replicate(auction_fn, benchmark_fn, cfg, c_star: float, rep: int, types, tail):
-    """The body of replication ``rep`` for either buyer model: run the
-    model's auction on the pre-drawn ``types``, run its benchmark on the
-    same types, with both picks replayed from the two ``tail`` draws,
-    and return ``(fields, outcome)`` with the :class:`ReplicationRecord`
-    fields."""
-    rng = DrawReplay(tail)
-    a_lte, a_apo, w_a, types, bids, outcome = auction_fn(cfg, c_star, rng, types)
-    b_lte, b_apo, w_b, _ = benchmark_fn(cfg, types, rng)
-    fields = dict(
+def replicate(cfg, rep: int, types: list[float], bids, outcome, rng, k_s: int = 0) -> dict:
+    """The :class:`ReplicationRecord` fields of replication ``rep`` for
+    either buyer model, on Python floats: settle the resolved auction
+    ``outcome`` on the pre-drawn ``types`` and run the benchmark, whose
+    pick ``rng`` replays after the auction's."""
+    a_lte, _, a_total, w_a = settle(outcome, types, cfg, k_s)
+    b_lte, _, b_total, w_b, _ = coexist(cfg, types, rng, k_s)
+    return dict(
         rep=rep,
-        types=tuple(float(t) for t in types),
-        bids=tuple(float(b) for b in bids),
+        types=tuple(types),
+        bids=tuple(bids.tolist()),
         mode=outcome.mode,
         winner=outcome.winner,
         r_pay=outcome.r_pay,
         auction_lte=a_lte,
-        auction_apo_total=float(a_apo.sum()),
+        auction_apo_total=a_total,
         bench_lte=b_lte,
-        bench_apo_total=float(b_apo.sum()),
+        bench_apo_total=b_total,
         welfare_auction=w_a,
         welfare_bench=w_b,
     )
-    return fields, outcome
 
 
-def _run_replication(cfg: MarketConfig, c_star: float, rep: int, types, tail) -> ReplicationResult:
-    fields, _ = replicate(
-        run_auction_replication, run_benchmark_replication, cfg, c_star, rep, types, tail
-    )
-    return ReplicationResult(**fields, welfare_max=social_welfare_max(cfg, fields["types"]))
+def _run_replication(cfg: MarketConfig, c_star: float, rep: int, types, bids, tail):
+    rng = DrawReplay(tail)
+    fields = replicate(cfg, rep, types, bids, _resolve_values(bids, c_star, rng), rng)
+    return ReplicationResult(**fields, welfare_max=social_welfare_max(cfg, types))
 
 
 def _run_block(cfg: MarketConfig, c_star: float, types, tails) -> list[ReplicationResult]:
-    return [
-        _run_replication(cfg, c_star, rep, types[rep], tails[rep]) for rep in range(len(types))
-    ]
+    bids = bid_values(cfg, c_star, types)
+    rows = zip(types.tolist(), bids, tails.tolist())
+    return [_run_replication(cfg, c_star, rep, *row) for rep, row in enumerate(rows)]
 
 
 def _half_width(values: np.ndarray) -> float:
@@ -234,15 +240,19 @@ def experiment(xcfg: ExperimentConfig, optimize, block_fn, summarize_fn, sellers
     """Either buyer model's experiment: the forced reserve or the
     model's optimum, every replication, then its summary.
 
-    Each replication's first ``sellers + 2`` draws are taken here, and
-    its types come from one inverse-CDF call over all replications;
+    Replication ``rep`` opens its stream ``(master_seed, rep)`` here, and
+    :meth:`RngStream.first_uniforms` takes the first ``sellers + 2``
+    draws of up to ``STREAM_BATCH`` streams in one numpy pass. The types
+    come from one inverse-CDF call over all replications;
     ``block_fn(cfg, c_star, types, tails)`` runs them all in order."""
     cfg = xcfg.market
     c_star = xcfg.reserve if xcfg.reserve is not None else optimize(cfg).c_star
     n, seed = xcfg.replications, xcfg.master_seed
     draws = np.empty((n, sellers + 2))
-    for rep in range(n):
-        draws[rep] = RngStream(seed, rep).uniforms(sellers + 2)
+    for start in range(0, n, STREAM_BATCH):
+        stop = min(n, start + STREAM_BATCH)
+        streams = [RngStream(seed, rep) for rep in range(start, stop)]
+        draws[start:stop] = RngStream.first_uniforms(streams, sellers + 2)
     types = cfg.dist.inverse_cdf(draws[:, :sellers])
     reps = block_fn(cfg, c_star, types, draws[:, sellers:])
     return ExperimentResult(summarize_fn(reps, c_star), tuple(reps))

@@ -238,6 +238,30 @@ def test_cli_count_too_large_for_memory_exits_2(capsys, args):
     assert json.loads(err)["error"] == "memory"
 
 
+@pytest.mark.parametrize("args", [
+    ("simulate", "--preset", "appendixK", "--replications", str(2**60)),
+    ("payoff-curve", "--preset", "fig4", "--c-min", "42", "--c-max", "200", "--steps", str(2**60)),
+    ("verify", "--preset", "appendixK", "--c", "55", "--samples", str(2**60)),
+], ids=["simulate-replications", "payoff-curve-steps", "verify-samples"])
+def test_cli_count_above_the_largest_array_exits_2(capsys, args):
+    """Each count sizes an array of more than 2**63 bytes, which numpy
+    refuses with ``ValueError: array is too big`` rather than
+    ``MemoryError``. These used to exit 1 with a traceback."""
+    code, err = run_cli(capsys, *args)
+    assert code == 2
+    assert json.loads(err)["error"] == "memory"
+
+
+def test_cli_other_value_errors_still_propagate(monkeypatch):
+    """Only numpy's too-big refusal is read as a memory error."""
+    def refuse(args):
+        raise ValueError("something else")
+
+    monkeypatch.setattr("spectrum_auction.cli.cmd_optimize", refuse)
+    with pytest.raises(ValueError, match="something else"):
+        main(["optimize", "--preset", "appendixK"])
+
+
 @pytest.mark.parametrize("command, config", [
     ("equilibrium", {"c": 55.0, "market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
     ("optimize", {"market": dict(preset("appendixK")["market"], r_lte=HUGE)}),
