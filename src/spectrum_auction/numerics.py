@@ -1,6 +1,6 @@
 """Small numerical building blocks: bracketing, bisection, golden
 section search, composite Simpson quadrature with a cumulative table
-over it, and a unimodality scan."""
+over it, a unimodality scan, and ``np.sum``'s row sum on floats."""
 from __future__ import annotations
 
 import math

@@ -8,11 +8,12 @@ to types with one inverse-CDF call over the whole (replications, K)
 block. The last two draws of a row are its tail, replayed in order:
 the auction's tie-break or competition pick (only when one is needed)
 reads draw K, and the benchmark channel pick reads the next unread
-one, draw K+1 after an auction pick and draw K otherwise. This is the order a replication
-drawing one value at a time from its stream would consume. Every
-replication runs in the calling process, in index order, on Python
-floats: the block's bids come from one call over its type matrix, and
-each row's auction, payoffs and welfare give the numpy rule's bits.
+one, draw K+1 after an auction pick and draw K otherwise. This is the
+order a replication drawing one value at a time from its stream would
+consume. Every replication runs in the calling process, in index
+order, on Python floats: the block's bids come from one call over its
+type matrix, and each row's auction, payoffs and welfare give the
+numpy rule's bits.
 """
 from __future__ import annotations
 
