@@ -111,28 +111,6 @@ def _second_price(
     return Mode.COOPERATION, winner, winner, price
 
 
-def second_price_rows(bids: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The auction rule on every row of an ``(n, K)`` bid matrix, K >= 2:
-    (cooperation mask, allocated price). The price is the reserve-capped
-    second-lowest bid, which is also the tied bid on a tie, and zero
-    when every seller abstains. No draw is needed: neither output
-    depends on who wins.
-
-    One sweep over the columns keeps each row's lowest bid ``m1`` and
-    second-lowest ``m2``: start from the first two columns, then for
-    each further column ``x`` set ``m2 = min(m2, max(m1, x))`` and
-    ``m1 = min(m1, x)``. Min and max are exact, so the result equals a
-    full sort's; nothing is assumed about the bids. The sweep walks
-    ``bids.T``, so a transposed ``(K, n)`` array is read row by row."""
-    b0, b1, *rest = bids.T
-    m1, m2 = np.minimum(b0, b1), np.maximum(b0, b1)
-    for x in rest:
-        m2 = np.minimum(m2, np.maximum(m1, x))
-        m1 = np.minimum(m1, x)
-    coop = np.isfinite(m1)
-    return coop, np.where(coop, np.minimum(c, m2), 0.0)
-
-
 def _resolve_values(values: np.ndarray, c: float, rng: RngStream) -> AuctionOutcome:
     """Single-buyer auction on a numpy bid row: the shared rule, on the
     row's Python floats, with no shared sellers."""

@@ -6,7 +6,11 @@ The CLI owns the JSON shape and the exit codes, and no value rule:
 blocks by the fields of the class each one builds, the engine's
 constructors and ``require_*`` functions check the values, and a value
 they refuse is a config error. ``load_config`` sets each given flag
-over its config key.
+over its config key (``seed`` is one for ``simulate`` and ``verify``
+alike); ``--config`` and ``--preset`` exclude each other.
+``main`` is the one dispatch path: it loads the config, builds the
+action's market (``parse_market``, or ``parse_multi_market`` for
+``multi-lte``) and calls the action with both.
 
 Exit codes: 0 success, 2 config error or a count whose arrays do not
 fit in memory, 3 refusal (non-unique threshold or failed
@@ -182,9 +186,7 @@ def _reserve_arg(args, cfg: dict) -> float:
     return _built(require_reserve, "c", c)
 
 
-def cmd_equilibrium(args) -> int:
-    cfg = load_config(args)
-    market = parse_market(cfg)
+def cmd_equilibrium(args, cfg: dict, market: MarketConfig) -> None:
     strat = solve_strategy(market, _reserve_arg(args, cfg))
     out = {"regime": strat.regime.value, "c": strat.c}
     inner = []
@@ -196,7 +198,6 @@ def cmd_equilibrium(args) -> int:
         out["r_t"] = strat.cutoff
     out["breakpoints"] = [market.dist.r_min, *inner, market.dist.r_max]
     _emit_json(out, args.output)
-    return 0
 
 
 def _curve_grid(cfg: dict) -> np.ndarray:
@@ -215,12 +216,9 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_payoff_curve(args) -> int:
-    cfg = load_config(args)
-    market = parse_market(cfg)
-    grid = _curve_grid(cfg)
+def cmd_payoff_curve(args, cfg: dict, market: MarketConfig) -> None:
     rows = []
-    for c in grid:
+    for c in _curve_grid(cfg):
         point = provider.curve_point(market, float(c))
         rows.append(
             (
@@ -231,14 +229,10 @@ def cmd_payoff_curve(args) -> int:
             )
         )
     _write_rows(args.output, ["c", "expected_payoff", "regime", "expected_payment"], rows)
-    return 0
 
 
-def cmd_optimize(args) -> int:
-    cfg = load_config(args)
-    market = parse_market(cfg)
+def cmd_optimize(args, cfg: dict, market: MarketConfig) -> None:
     _emit_json(asdict(provider.optimize_reserve(market)), args.output)
-    return 0
 
 
 def _experiment_config(args, cfg: dict, market, **kwargs) -> ExperimentConfig:
@@ -312,9 +306,7 @@ def _multi_replication_rows(market: MultiMarketConfig, reps):
     return _rows(market.k_s + market.k_a, reps, _MULTI_COLUMNS)
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args)
-    market = parse_market(cfg)
+def cmd_simulate(args, cfg: dict, market: MarketConfig) -> None:
     xcfg = _experiment_config(args, cfg, market)
     cells = simulation.sweep_cells(xcfg)
     summaries = []
@@ -331,12 +323,9 @@ def cmd_simulate(args) -> int:
             header, rows = _replication_rows(cell.market, result.replications)
             _write_rows(path, header, rows)
     _emit_json(summaries if xcfg.sweep else summaries[0], args.summary)
-    return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args)
-    market = parse_market(cfg)
+def cmd_verify(args, cfg: dict, market: MarketConfig) -> None:
     c = _reserve_arg(args, cfg)
     _built(oracle.require_grids, args.samples, args.type_grid, args.bid_grid)
     report = oracle.best_response_check(
@@ -345,43 +334,34 @@ def cmd_verify(args) -> int:
         type_grid=args.type_grid,
         bid_grid=args.bid_grid,
         samples=args.samples,
-        rng=_built(RngStream, args.seed, 0),
+        rng=_built(RngStream, _integer(cfg.get("seed", 0), "seed"), 0),
     )
     out = asdict(report)
     out["c"] = c
     _emit_json(out, args.output)
-    return 0
 
 
-def cmd_multi_optimize(args) -> int:
-    market = parse_multi_market(load_config(args))
+def cmd_multi_optimize(args, cfg: dict, market: MultiMarketConfig) -> None:
     _built(multi_lte.require_samples, args.samples)
     _emit_json(asdict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
-    return 0
 
 
-def cmd_multi_payoff_curve(args) -> int:
-    cfg = load_config(args)
-    market = parse_multi_market(cfg)
+def cmd_multi_payoff_curve(args, cfg: dict, market: MultiMarketConfig) -> None:
     _built(multi_lte.require_samples, args.samples)
     rows = []
     for c in _curve_grid(cfg):
         mean, se = multi_lte.expected_payoff_multi(market, float(c), n=args.samples)
         rows.append((fmt9(float(c)), fmt9(mean), fmt9(se)))
     _write_rows(args.output, ["c", "expected_payoff", "se"], rows)
-    return 0
 
 
-def cmd_multi_simulate(args) -> int:
-    cfg = load_config(args)
-    market = parse_multi_market(cfg)
+def cmd_multi_simulate(args, cfg: dict, market: MultiMarketConfig) -> None:
     xcfg = _experiment_config(args, cfg, market, reserve=args.reserve)
     result = multi_lte.run_experiment_multi(xcfg)
     if args.output:
         header, rows = _multi_replication_rows(market, result.replications)
         _write_rows(args.output, header, rows)
     _emit_json(asdict(result.summary), args.summary)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +372,9 @@ def cmd_multi_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # Flag groups, each defined once; an action lists the groups it reads.
     config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", help="path to a JSON run config")
-    config.add_argument("--preset", help=f"bundled preset name ({', '.join(sorted(PRESETS))})")
+    source = config.add_mutually_exclusive_group()
+    source.add_argument("--config", help="path to a JSON run config")
+    source.add_argument("--preset", help=f"bundled preset name ({', '.join(sorted(PRESETS))})")
     config.add_argument("--output", help="output path (default: stdout)")
     reserve = argparse.ArgumentParser(add_help=False)
     reserve.add_argument("--c", type=float, help="reserve rate (Mbps)")
@@ -409,9 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=int, default=100_000)
 
-    def add(sub, name, func, text, *groups):
+    # ``read_market`` builds the action's market from the config; the
+    # name is not a config key, which ``load_config`` would copy.
+    def add(sub, name, func, text, *groups, read_market=parse_market):
         p = sub.add_parser(name, parents=[config, *groups], help=text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, read_market=read_market)
         return p
 
     parser = argparse.ArgumentParser(
@@ -427,15 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "verify", cmd_verify, "best-response certification (JSON)", reserve, samples)
     p.add_argument("--type-grid", dest="type_grid", type=int, default=50)
     p.add_argument("--bid-grid", dest="bid_grid", type=int, default=101)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
     multi = sub.add_parser("multi-lte", help="multi-buyer variant")
     actions = multi.add_subparsers(dest="action", required=True)
-    add(actions, "optimize", cmd_multi_optimize, "optimal reserve rate (JSON)", samples)
+    add(actions, "optimize", cmd_multi_optimize, "optimal reserve rate (JSON)", samples,
+        read_market=parse_multi_market)
     add(actions, "payoff-curve", cmd_multi_payoff_curve,
-        "Monte Carlo expected payoff across reserve rates (CSV)", curve, samples)
+        "Monte Carlo expected payoff across reserve rates (CSV)", curve, samples,
+        read_market=parse_multi_market)
     p = add(actions, "simulate", cmd_multi_simulate,
-            "Monte Carlo experiment vs. the benchmark", run)
+            "Monte Carlo experiment vs. the benchmark", run, read_market=parse_multi_market)
     p.add_argument("--reserve", type=float, help="force a reserve instead of optimizing")
     return parser
 
@@ -444,7 +429,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args)
+        args.func(args, cfg, args.read_market(cfg))
+        return 0
     except InvalidConfig as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return 2

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .auction import second_price_rows
 from .distributions import UNIFORM
 from .equilibrium import (
     MarketConfig,
@@ -81,6 +80,28 @@ def sample_type_matrix(cfg: MarketConfig, n: int, rng: RngStream, columns: int |
     """(n, columns) matrix of independent type draws from one stream."""
     cols = cfg.k if columns is None else columns
     return np.asarray(cfg.dist.inverse_cdf(rng.uniforms(n, cols)), dtype=float)
+
+
+def second_price_rows(bids: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The auction rule on every row of an ``(n, K)`` bid matrix, K >= 2:
+    (cooperation mask, allocated price). The price is the reserve-capped
+    second-lowest bid, which is also the tied bid on a tie, and zero
+    when every seller abstains. No draw is needed: neither output
+    depends on who wins.
+
+    One sweep over the columns keeps each row's lowest bid ``m1`` and
+    second-lowest ``m2``: start from the first two columns, then for
+    each further column ``x`` set ``m2 = min(m2, max(m1, x))`` and
+    ``m1 = min(m1, x)``. Min and max are exact, so the result equals a
+    full sort's; nothing is assumed about the bids. The sweep walks
+    ``bids.T``, so a transposed ``(K, n)`` array is read row by row."""
+    b0, b1, *rest = bids.T
+    m1, m2 = np.minimum(b0, b1), np.maximum(b0, b1)
+    for x in rest:
+        m2 = np.minimum(m2, np.maximum(m1, x))
+        m1 = np.minimum(m1, x)
+    coop = np.isfinite(m1)
+    return coop, np.where(coop, np.minimum(c, m2), 0.0)
 
 
 def lte_payoffs_for_types(cfg: MarketConfig, c: float, types: np.ndarray) -> np.ndarray:

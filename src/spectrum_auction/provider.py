@@ -97,9 +97,12 @@ def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
     strategy = solve_strategy(cfg.sellers, c)
     none_sells = (1.0 - dist.cdf(strategy.cutoff)) ** cfg.k
     f_c = dist.cdf(c)
+    # c times the chance that exactly one type lies below c: exactly 0.0
+    # once F(c) = 1, where k * c would overflow for c above float max / k.
+    one_below = 0.0 if f_c == 1.0 else cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
     payment = (
         _second_lowest_integral(cfg, c)
-        + cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
+        + one_below
         + c * ((1.0 - f_c) ** cfg.k - none_sells)
     )
     payoff = none_sells * cfg.delta_lte * r + (1.0 - none_sells) * r - payment

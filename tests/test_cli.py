@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spectrum_auction import oracle
 from spectrum_auction.cli import fmt9, main
 from spectrum_auction.errors import NonUniqueThreshold
 from spectrum_auction.presets import preset
@@ -143,6 +144,36 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "optimize", "--config", "/nonexistent.json")
         assert code == 2
         assert json.loads(err)["error"] == "io"
+
+
+class TestConfigSource:
+    def test_preset_and_config_exclude_each_other(self, capsys, tmp_path):
+        """Both flags used to run the preset and ignore the file."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"market": dict(preset("appendixK")["market"], k=3)}))
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--preset", "appendixK", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, seed", [((), 5), (("--seed", "7"), 7)])
+    def test_verify_seeds_its_stream_from_the_config(self, monkeypatch, tmp_path, flags, seed):
+        """``verify`` used to seed its stream with its ``--seed`` default,
+        0, over a config ``seed``; a given flag still beats the key."""
+        streams = []
+        check = oracle.best_response_check
+
+        def record(*args, rng, **kwargs):
+            streams.append((rng.master_seed, rng.stream_index))
+            return check(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr("spectrum_auction.cli.oracle.best_response_check", record)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"market": preset("appendixK")["market"], "c": 55.0,
+                                    "seed": 5}))
+        small = ["--samples", "2000", "--type-grid", "5", "--bid-grid", "11"]
+        assert main(["verify", "--config", str(path), *small, *flags]) == 0
+        assert streams == [(seed, 0)]
 
 
 class TestRefusalExitCode:

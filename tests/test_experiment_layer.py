@@ -23,8 +23,9 @@ from spectrum_auction import (
     run_experiment,
     run_experiment_multi,
 )
-from spectrum_auction.auction import _second_price, second_price_rows
+from spectrum_auction.auction import _second_price
 from spectrum_auction.multi_lte import MultiAuctionOutcome, MultiReplicationResult, Origin
+from spectrum_auction.oracle import second_price_rows
 from spectrum_auction.simulation import ReplicationResult
 
 UNIFORM = TypeDistribution.uniform(50, 200)

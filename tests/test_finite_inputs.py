@@ -254,7 +254,7 @@ def test_cli_count_above_the_largest_array_exits_2(capsys, args):
 
 def test_cli_other_value_errors_still_propagate(monkeypatch):
     """Only numpy's too-big refusal is read as a memory error."""
-    def refuse(args):
+    def refuse(*args):
         raise ValueError("something else")
 
     monkeypatch.setattr("spectrum_auction.cli.cmd_optimize", refuse)

@@ -21,7 +21,6 @@ from hypothesis.extra import numpy as hnp
 
 from spectrum_auction import MultiMarketConfig, RngStream, TypeDistribution
 from spectrum_auction import multi_lte
-from spectrum_auction.auction import second_price_rows
 from spectrum_auction.cli import parse_multi_market
 from spectrum_auction.equilibrium import solve_strategy
 from spectrum_auction.errors import SpectrumAuctionError
@@ -33,6 +32,7 @@ from spectrum_auction.multi_lte import (
     expected_payoff_multi,
     shared_participation_cutoff,
 )
+from spectrum_auction.oracle import second_price_rows
 from spectrum_auction.presets import preset
 
 UNIFORM = TypeDistribution.uniform(50, 200)

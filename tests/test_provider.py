@@ -193,3 +193,17 @@ def test_one_formula_matches_the_four_branch_formula(market_and_reserve):
         assert abs(point.expected_payoff - payoff) <= 4 * math.ulp(payoff)
     else:
         assert point.expected_payoff.hex() == payoff.hex()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "truncated_normal"])
+@pytest.mark.parametrize("k", [2, 4, 7])
+def test_a_reserve_above_float_max_over_k_is_the_point_at_r_max(kind, k):
+    """Above r_max every type bids truthfully, so the curve is flat. The
+    one-type-below-c term used to overflow ``k * c`` to inf at c = 1e308
+    and multiply it by 0.0, printing ``nan`` for payoff and payment."""
+    dist = (TypeDistribution.uniform(50, 200) if kind == "uniform"
+            else TypeDistribution.truncated_normal(125, 50, 50, 200))
+    cfg = MarketConfig(k=k, dist=dist, eta_apo=0.3, delta_lte=0.4, r_lte=370.0)
+    top, far = curve_point(cfg, dist.r_max), curve_point(cfg, 1e308)
+    assert (far.expected_payoff, far.regime, far.expected_payment) == (
+        top.expected_payoff, top.regime, top.expected_payment)
