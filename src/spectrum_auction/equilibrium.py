@@ -17,9 +17,14 @@ four, delimited by ``L = ((k-1+eta)/k) * r_min``, ``r_min`` and
 The mid and standard thresholds are roots of one indifference equation,
 :func:`threshold_residual`, on ``[max(c, r_min), r_max]`` with the
 floor ``F(max(c, r_min))``: ``F(c)`` in the standard regime and 0 in
-the mid one, where no type lies below the reserve. A sign scan plus
-bisection locates the root; if the scan finds more than one the engine
-refuses rather than selecting an equilibrium arbitrarily.
+the mid one, where no type lies below the reserve. A sign scan of
+``SCAN_POINTS`` grid points plus bisection locates the root; if the
+scan finds more than one the engine refuses rather than selecting an
+equilibrium arbitrarily. The scan is certified by cells: a bound on the
+residual over each cell of the grid vouches for its sign, and the
+residual is evaluated exactly only at the cell ends and in the cells
+the bound cannot close, about 300 of the 10 000 points, for the same
+brackets as evaluating all of them.
 
 The equilibrium is seller-side: it depends on ``k``, the type law and
 ``eta`` (a :class:`SellerMarket`), not on the buyer's throughput or its
@@ -40,13 +45,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distributions import TypeDistribution
+from .distributions import UNIFORM, TypeDistribution
 from .errors import BracketingError, NonUniqueThreshold
 from .numerics import bisect_root, is_finite, is_number, sign_change_brackets
 
 # Grid density of the root-existence scan used both for bracketing and
-# for the uniqueness check.
+# for the uniqueness check. The scan returns the brackets of all of its
+# points but evaluates the residual exactly only at the ends of its cells
+# and inside the cells its bound cannot close (:func:`_scan_brackets`).
 SCAN_POINTS = 10_000
+# Grid steps per cell of the certified scan.
+SCAN_CELL = 100
 
 # Entries kept by each equilibrium cache. They are keyed on the seller
 # side and a float reserve, so an unbounded cache grows with every
@@ -307,11 +316,113 @@ def threshold_residual(cfg: SellerMarket, c: float, r):
     return _threshold_residual(cfg, c, r, float(cfg.dist.cdf(max(c, cfg.dist.r_min))))
 
 
+def _cell_bounds(cfg: SellerMarket, c: float, ends: np.ndarray, f_floor: float):
+    """``(low, high)``, arrays with one entry per cell between consecutive
+    scan points ``ends``: the array residual at every scan grid point of
+    the cell, times ``k``, lies in ``[low, high]``. An entry may be NaN
+    or infinite, where the bound overflows.
+
+    The bound. With ``s = 1 - F(r)``, ``S0 = 1 - f_floor`` and
+    ``Q(s) = sum(S0**j * s**(k-1-j) for j < k)``, the mass is
+    ``F(r) - f_floor = S0 - s``, and ``C(k-1, n)/(n+1) = C(k, n+1)/k``
+    sums the residual's terms to
+    ``k R(r) = (1 - eta) r s**(k-1) + (c - r) Q(s)``. On the scan
+    ``r >= c``, so the first term grows with ``r`` and ``s`` and the
+    second falls with both. On a cell ``[a, b]`` with ``s`` in
+    ``[s_lo, s_hi]``, ``k R`` lies in
+    ``[(1-eta) a s_lo**(k-1) + (c-b) Q(s_hi), (1-eta) b s_hi**(k-1) + (c-a) Q(s_lo)]``.
+    Two margins make it hold for the residual that the array path
+    computes at every grid point of the cell (``u = 2**-53``):
+
+    * The cdf margin ``d``: ``s_hi = 1 - F(a) + d`` and
+      ``s_lo = max(1 - F(b) - d, 0)``, from the float cdf at the ends.
+      The float cdf is monotone but for ``_erf``: the steps before it
+      and ``((z + 1) * 0.5 - phi_lo) / mass`` after it are correctly
+      rounded monotone maps. With erf's absolute error at most ``E``,
+      ``F(x) - F(y) <= (E + 4.2u) / mass + 2u`` for ``x < y``, and
+      ``1 - F`` rounds by ``u`` more. Cephes documents peak relative
+      errors of 3.7e-16 for erf below 1 and 5.7e-14 for erfc, which is
+      below 0.16 past 1, so ``E < 1e-14`` and ``d = 2**-45 / mass``
+      covers the wobble with a factor above 2. The uniform law's float
+      cdf is monotone; it takes the same ``d`` with ``mass = 1``.
+    * The rounding margin ``rho M + tau (c + b)``. Each of the array
+      residual's k terms carries two pows (numpy's SIMD pow is within
+      1 ulp; counted as 4 units each), the rounding of its mass and
+      survival raised to ``n`` and ``k-1-n`` (``k - 1`` units) and six
+      more roundings; its running sum adds ``k - 1`` units of the
+      terms' magnitudes, which add up to at most ``M / k`` with
+      ``M = k s_hi**(k-1) (c + b) + (b - c) max(Q(s_hi), k s_hi**(k-1))``
+      (a mass below 0 by the cdf's wobble makes ``|mass| + s <= s``,
+      hence the max). The bound's own evaluation is within
+      ``(3k + 10) u M``. Twice the first-order total of
+      ``(5k + 22) u M`` is within ``rho = (16k + 64) u``. A result
+      below the normal range is off by up to ``4 * 2**-1074`` instead,
+      which later factors scale by at most ``C(k-1, n) <= 2**(k-1)``
+      and ``c + b``, over at most 8 steps in each of k terms; for
+      ``k R`` that is ``tau = 32 k**2 2**(k - 1075)``.
+    """
+    k, eta, dist = cfg.k, cfg.eta_apo, cfg.dist
+    surv = np.subtract(1.0, dist.cdf(ends))
+    d = 2.0**-45 / (1.0 if dist.kind == UNIFORM else dist._mass)
+    s = np.empty((2, ends.size - 1))
+    np.maximum(np.subtract(surv[1:], d, out=s[0]), 0.0, out=s[0])
+    np.add(surv[:-1], d, out=s[1])
+    p = np.power(s, k - 1)
+    s0 = 1.0 - f_floor
+    q = np.ones_like(s)
+    for j in range(1, k):
+        q *= s
+        q += s0**j
+    a, b = ends[:-1], ends[1:]
+    with np.errstate(all="ignore"):
+        lower = (1.0 - eta) * a * p[0] + (c - b) * q[1]
+        upper = (1.0 - eta) * b * p[1] + (c - a) * q[0]
+        mag = k * p[1] * (c + b) + (b - c) * np.maximum(q[1], k * p[1])
+        margin = (16 * k + 64) * 2.0**-53 * mag + math.ldexp(32.0 * k * k, k - 1075) * (c + b)
+        return lower - margin, upper + margin
+
+
+def _scan_brackets(cfg: SellerMarket, c: float, xs: np.ndarray, f_floor: float):
+    """``sign_change_brackets(xs, residual(xs))`` on a solve's scan grid
+    ``xs``, the same list, with the array residual taken only at the
+    ends of the ``SCAN_CELL``-step cells and inside the open cells.
+
+    A cell is closed when its :func:`_cell_bounds` interval excludes 0
+    and the exact residuals at both its ends, one array call, have the
+    interval's sign; a NaN bound or residual closes nothing. A closed
+    cell holds no zero or sign change, and neighbouring closed cells
+    share an end and so a sign, so each bracket of the full scan lies in
+    a maximal run of open cells, which is scanned with both its ends. A
+    grid point's array residual does not depend on the array around it,
+    so those are the full scan's bits, and the brackets come out in its
+    order: zeros, then sign changes, each ascending.
+    """
+    ends = np.append(xs[:-1:SCAN_CELL], xs[-1])
+    y = _threshold_residual(cfg, c, ends, f_floor)
+    low, high = _cell_bounds(cfg, c, ends, f_floor)
+    positive, negative = y > 0.0, y < 0.0
+    closed = (low > 0.0) & positive[:-1] & positive[1:]
+    closed |= (high < 0.0) & negative[:-1] & negative[1:]
+    runs = []
+    for j in np.flatnonzero(~closed).tolist():
+        if runs and runs[-1][1] == j:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    zeros, crossings = [], []
+    for j0, j1 in runs:
+        run = xs[j0 * SCAN_CELL:j1 * SCAN_CELL + 1]
+        for bracket in sign_change_brackets(run, _threshold_residual(cfg, c, run, f_floor)):
+            (zeros if bracket[0] == bracket[1] else crossings).append(bracket)
+    return zeros + crossings
+
+
 def _solve_threshold(cfg: SellerMarket, c: float) -> float:
     """Root of :func:`threshold_residual` on ``[max(c, r_min), r_max]``:
-    sign check, uniqueness scan, then bisection. The floor is computed
-    once per solve. Raises NonUniqueThreshold when the scan finds
-    several roots, BracketingError when the endpoint signs are wrong."""
+    sign check, uniqueness scan (:func:`_scan_brackets`), then
+    bisection. The floor is computed once per solve. Raises
+    NonUniqueThreshold when the scan finds several roots,
+    BracketingError when the endpoint signs are wrong."""
     lo, r_max = max(c, cfg.dist.r_min), cfg.dist.r_max
     f_floor = float(cfg.dist.cdf(lo))
 
@@ -326,7 +437,7 @@ def _solve_threshold(cfg: SellerMarket, c: float) -> float:
             f"({y_lo:.3g}, {y_hi:.3g})"
         )
     xs = np.linspace(lo, r_max, SCAN_POINTS)
-    brackets = sign_change_brackets(xs, residual(xs))
+    brackets = _scan_brackets(cfg, c, xs, f_floor)
     if len(brackets) != 1:
         raise NonUniqueThreshold(
             f"threshold equation has {len(brackets)} roots at c={c:.6g}; refusing"

@@ -12,13 +12,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from spectrum_auction import MarketConfig, TypeDistribution
 from spectrum_auction import equilibrium as eq
 from spectrum_auction.cli import parse_market
-from spectrum_auction.errors import BracketingError, NonUniqueThreshold, SpectrumAuctionError
+from spectrum_auction.errors import (BracketingError, InvalidDistribution, NonUniqueThreshold,
+                                     SpectrumAuctionError)
 from spectrum_auction.numerics import bisect_root, sign_change_brackets
 from spectrum_auction.presets import preset
 
@@ -271,3 +272,137 @@ def test_the_cutoff_is_the_regime_solvers_root(name, k, eta, standard, frac):
     assert bits(strategy.cutoff) == bits(root)
     if standard:
         assert root >= c
+
+
+# ---------------------------------------------------------------------------
+# The certified cell scan returns the full scan's brackets
+# ---------------------------------------------------------------------------
+
+CELL = eq.SCAN_CELL
+SUPPORTS = [(50.0, 200.0), (0.0, 100.0), (0.1, 1.37)]
+
+
+def outcome(run):
+    """A root's bits, a bracket list, or the type of the error raised."""
+    try:
+        value = run()
+    except (SpectrumAuctionError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return bits(value) if isinstance(value, float) else value
+
+
+@st.composite
+def scan_markets(draw):
+    """A seller market and a mid or standard reserve: k from 2 to 9, a
+    uniform or truncated-normal law (mu up to 8 sigma outside the support,
+    sigma from 1e-2 to 10 spans), eta near 0 or near 1."""
+    k = draw(st.integers(2, 9))
+    r_min, r_max = draw(st.sampled_from(SUPPORTS))
+    span = r_max - r_min
+    if draw(st.booleans()):
+        dist = TypeDistribution.uniform(r_min, r_max)
+    else:
+        sigma = span * 10.0 ** draw(st.floats(-2.0, 1.0))
+        side = draw(st.sampled_from(["below", "inside", "above"]))
+        if side == "inside":
+            mu = r_min + span * draw(st.floats(0.0, 1.0))
+        else:
+            z = draw(st.floats(1.0, 8.0))
+            mu = r_min - z * sigma if side == "below" else r_max + z * sigma
+        try:
+            dist = TypeDistribution.truncated_normal(mu, sigma, r_min, r_max)
+        except InvalidDistribution:
+            assume(False)
+    eta = draw(st.one_of(st.floats(1e-6, 0.05), st.floats(0.95, 1.0 - 1e-6)))
+    sellers = eq.SellerMarket(k, dist, eta)
+    frac = draw(st.floats(0.0, 1.0, exclude_max=True))
+    if draw(st.booleans()):
+        c = r_min + frac * span
+    else:
+        c = sellers.low_regime_cap + frac * (r_min - sellers.low_regime_cap)
+    assume(eq.classify_regime(sellers, c) in (eq.RegimeKind.MID, eq.RegimeKind.STANDARD))
+    return sellers, c
+
+
+@seed(26)
+@settings(max_examples=400, deadline=None, database=None)
+@given(market=scan_markets())
+def test_the_cell_scan_is_the_full_scan(market):
+    """Same root bits or the same refusal as the 10 000-point scan, the
+    same brackets, and a sound bound: ``k`` times the array residual at
+    every grid point of a cell lies in the cell's interval, so every cell
+    the scan closes keeps the sign it claims."""
+    sellers, c = market
+    lo = max(c, sellers.dist.r_min)
+    want = outcome(lambda: parent_solve(sellers, c, lo, eq.threshold_residual))
+    assert outcome(lambda: eq._solve_threshold(sellers, c)) == want
+
+    f_floor = float(sellers.dist.cdf(lo))
+    xs = np.linspace(lo, sellers.dist.r_max, eq.SCAN_POINTS)
+    ends = np.append(np.arange(0, eq.SCAN_POINTS - 1, CELL), eq.SCAN_POINTS - 1)
+    with np.errstate(all="ignore"):
+        ys = eq._threshold_residual(sellers, c, xs, f_floor)
+        low, high = eq._cell_bounds(sellers, c, xs[ends], f_floor)
+        got = outcome(lambda: eq._scan_brackets(sellers, c, xs, f_floor))
+    assert got == outcome(lambda: sign_change_brackets(xs, ys))
+    y_ends = ys[ends]
+    for j in range(ends.size - 1):
+        cell = sellers.k * ys[j * CELL:(j + 1) * CELL + 1]
+        assert not ((cell < low[j]).any() or (cell > high[j]).any())
+        if low[j] > 0.0 and (y_ends[j:j + 2] > 0.0).all():
+            assert (cell > 0.0).all()
+        if high[j] < 0.0 and (y_ends[j:j + 2] < 0.0).all():
+            assert (cell < 0.0).all()
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("k", range(2, 10))
+def test_a_slice_of_the_grid_has_the_full_grids_bits(name, k):
+    """The open cells and the cell ends are scanned apart from the rest of
+    the grid: their residuals must not depend on the array around them
+    (numpy's SIMD pow on a short tail, ``_erf``'s loop at 32 points or
+    fewer)."""
+    dist = LAWS[name]
+    sellers = eq.SellerMarket(k, dist, 0.3)
+    reserves = [dist.r_min + 0.3 * dist.span]
+    if dist.r_min > 0.0:
+        reserves.append(0.5 * (sellers.low_regime_cap + dist.r_min))
+    for c in reserves:
+        lo = max(c, dist.r_min)
+        f_floor = float(dist.cdf(lo))
+        xs = np.linspace(lo, dist.r_max, eq.SCAN_POINTS)
+        full = eq._threshold_residual(sellers, c, xs, f_floor)
+        for n in (1, 32, 33, 101, 201):
+            for start in (0, 1, 4321, eq.SCAN_POINTS - n):
+                part = eq._threshold_residual(sellers, c, xs[start:start + n], f_floor)
+                assert part.tobytes() == full[start:start + n].tobytes()
+        ends = np.append(np.arange(0, eq.SCAN_POINTS - 1, CELL), eq.SCAN_POINTS - 1)
+        coarse = eq._threshold_residual(sellers, c, xs[ends], f_floor)
+        assert coarse.tobytes() == full[ends].tobytes()
+
+
+def test_a_coarse_residual_against_the_bound_opens_its_cells(monkeypatch):
+    """A residual that the bound cannot see, negated at one cell end far
+    from the root: the scan opens both cells at that end and refuses, as
+    the full scan does."""
+    sellers, c = eq.SellerMarket(4, LAWS["TN(125,50)"], 0.3), 120.0
+    lo, r_max = c, sellers.dist.r_max
+    xs = np.linspace(lo, r_max, eq.SCAN_POINTS)
+    j = 10 if eq._solve_threshold(sellers, c) > 0.5 * (lo + r_max) else 90
+    target = xs[j * CELL]
+    residual, scanned = eq._threshold_residual, []
+
+    def flipped(cfg, c, r, f_floor):
+        out = residual(cfg, c, r, f_floor)
+        if isinstance(out, np.ndarray):
+            scanned.append(r.copy())
+            out = np.where(r == target, -out, out)
+        return out
+
+    monkeypatch.setattr(eq, "_threshold_residual", flipped)
+    with pytest.raises(NonUniqueThreshold):
+        eq._solve_threshold(sellers, c)
+    assert scanned[0].size == eq.SCAN_POINTS // CELL + 1
+    assert np.isin(xs[(j - 1) * CELL:(j + 1) * CELL + 1], np.concatenate(scanned[1:])).all()
+    with pytest.raises(NonUniqueThreshold):
+        parent_solve(sellers, c, lo, eq.threshold_residual)
