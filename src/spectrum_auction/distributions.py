@@ -332,9 +332,22 @@ class TypeDistribution:
         """Bisection steps the inverse CDF replays from the ndtri jump:
         all but the last ``_CDF_STEPS``, and none past the depth where a
         bracket spans ``2**_CHECK_ULP_BITS`` ulps of ``r_max`` (the larger
-        end, as ``r_min >= 0``)."""
+        end, as ``r_min >= 0``) or ``2**-42 * sigma``.
+
+        The second cap keeps the replay off ``_erf``'s error. The float
+        cdf is ``_erf`` of ``(r - mu) / sigma / sqrt(2)``, both behind
+        monotone roundings. Cephes gives erf within 3.7e-16 relative for
+        ``|x| <= 1`` and ``1 - erfc`` past it, with erfc within 5.7e-14
+        relative and falling by a factor above ``1 + 2.6 dx`` over
+        ``dx``; so the float cdf keeps its order between rates more than
+        about ``2**-43.7 * sigma`` apart (the argument's rounding
+        included). A replayed midpoint lies a bracket or more beyond the
+        checked end. The cap binds where sigma is large against the
+        span: TN(555220, 504628) on [0, 1], whose float cdf wobbles by
+        about 1e-10, replays 23 of its 40 steps."""
         ulps = self.span / (2.0**_CHECK_ULP_BITS * math.ulp(self.r_max))
-        return max(min(self._bisection_steps - _CDF_STEPS, math.floor(math.log2(ulps))), 0)
+        widths = min(ulps, self.span / self.sigma * 2.0**42)
+        return max(min(self._bisection_steps - _CDF_STEPS, math.floor(math.log2(widths))), 0)
 
     @cached_property
     def _exact_depth(self) -> int:

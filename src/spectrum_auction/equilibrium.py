@@ -255,52 +255,25 @@ def _threshold_residual(cfg: SellerMarket, c: float, r, f_floor: float):
     """The residual of :func:`threshold_residual` with its floor
     ``f_floor`` given.
 
-    A ``float`` ``r`` (the bisection's) stays a Python float throughout,
-    and an array ``r`` (the uniqueness scan's) is computed in six reused
-    buffers. Both paths run the same IEEE operations in the same order,
-    ``((comb * mass**n) * surv**(k-1-n)) * (c-r) / (n+1)`` per term, but
-    not the same ``**``: Python floats call the libm ``pow``, while
+    A scalar ``r`` (the bisection's) is taken as a Python float and an
+    array ``r`` (the uniqueness scan's) as a float array; one expression
+    serves both, ``((comb * mass**n) * surv**(k-1-n)) * (c-r) / (n+1)``
+    per term, so both run the same IEEE operations in the same order,
+    but not the same ``**``: Python floats call the libm ``pow``, while
     ``np.power`` may run a SIMD pow (numpy 2.4 does on AVX-512) that is
     1 ulp off ``pow`` for some bases, even at exponent 2 or 3. So the two
-    paths can differ in the last bits; the scan and the bisection share
-    the residual's sign away from the root, not its bits.
-    Any other scalar ``r`` is taken as a float.
+    can differ in the last bits; the scan and the bisection share the
+    residual's sign away from the root, not its bits.
     """
     k = cfg.k
-    if isinstance(r, float) or np.ndim(r) == 0:
-        r = float(r)
-        fr = cfg.dist.cdf(r)
-        surv = 1.0 - fr
-        total = surv ** (k - 1) * (c - cfg.externality_share * r)
-        mass = fr - f_floor
-        for n in range(1, k):
-            total = total + (
-                math.comb(k - 1, n)
-                * mass**n
-                * surv ** (k - 1 - n)
-                * (c - r)
-                / (n + 1)
-            )
-        return float(total)
-    r = np.asarray(r, dtype=float)
-    # cdf returns a new array, so fr is ours to overwrite with the mass
-    # once the survival is taken.
+    r = float(r) if isinstance(r, float) or np.ndim(r) == 0 else np.asarray(r, dtype=float)
     fr = cfg.dist.cdf(r)
-    surv = np.subtract(1.0, fr)
-    mass = np.subtract(fr, f_floor, out=fr)
-    gap = np.subtract(c, r)
-    total = np.multiply(cfg.externality_share, r)
-    np.subtract(c, total, out=total)
-    term = np.power(surv, k - 1)
-    total *= term
-    power = np.empty_like(total)
+    surv = 1.0 - fr
+    mass = fr - f_floor
+    gap = c - r
+    total = (c - cfg.externality_share * r) * surv ** (k - 1)
     for n in range(1, k):
-        np.power(mass, n, out=term)
-        term *= math.comb(k - 1, n)
-        term *= np.power(surv, k - 1 - n, out=power)
-        term *= gap
-        term /= n + 1
-        total += term
+        total = total + math.comb(k - 1, n) * mass**n * surv ** (k - 1 - n) * gap / (n + 1)
     return total
 
 

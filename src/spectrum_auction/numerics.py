@@ -11,6 +11,10 @@ import numpy as np
 from .errors import BracketingError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Bisection steps before the bracket's midpoint is returned as it stands.
+BISECT_MAX_ITER = 200
+# Panel count at which Simpson doubling stops, its estimate met or not.
+SIMPSON_MAX_PANELS = 2**16
 
 
 def is_number(value) -> bool:
@@ -67,12 +71,11 @@ def bisect_root(
     *,
     width_tol: float,
     residual_tol: float | None = None,
-    max_iter: int = 200,
 ) -> float:
     """Bisection on a bracketing interval with f(lo) and f(hi) of
     opposite signs. Stops when the bracket is narrower than
     ``width_tol`` and, if given, the midpoint residual is below
-    ``residual_tol``."""
+    ``residual_tol``, or after ``BISECT_MAX_ITER`` steps."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -82,7 +85,7 @@ def bisect_root(
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -146,19 +149,19 @@ def simpson_with_doubling(
     *,
     start_panels: int = 2048,
     budget: float = 1e-12,
-    max_panels: int = 2**16,
 ) -> float:
     """Simpson quadrature with a panel-doubling error estimate.
 
     Doubles the panel count until the Richardson estimate
-    ``|S_2n - S_n| / 15`` falls below ``budget``.
+    ``|S_2n - S_n| / 15`` falls below ``budget`` or the count reaches
+    ``SIMPSON_MAX_PANELS``.
     """
     panels = start_panels
     coarse = composite_simpson(f, a, b, panels)
     while True:
         panels *= 2
         fine = composite_simpson(f, a, b, panels)
-        if abs(fine - coarse) / 15.0 <= budget or panels >= max_panels:
+        if abs(fine - coarse) / 15.0 <= budget or panels >= SIMPSON_MAX_PANELS:
             return fine
         coarse = fine
 
@@ -170,7 +173,7 @@ class CumulativeSimpson:
     The grid's panels double from ``start_panels``, through
     :func:`simpson_with_doubling`, until the Richardson estimate over the
     whole of ``[a, b]`` (with ``a < b``) meets ``budget`` or the count
-    reaches that function's cap of 2**16. The table keeps the final
+    reaches ``SIMPSON_MAX_PANELS``. The table keeps the final
     grid's prefix integrals at its even nodes and is never refined
     afterwards, so an integral is a pure function of the table's
     arguments and its limit. ``f`` takes an ndarray of nodes to build

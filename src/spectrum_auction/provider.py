@@ -14,6 +14,7 @@ a coarse guard scan and a grid fallback should the scan find a dip).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,9 +98,11 @@ def curve_point(cfg: MarketConfig, c: float) -> PayoffCurvePoint:
     strategy = solve_strategy(cfg.sellers, c)
     none_sells = (1.0 - dist.cdf(strategy.cutoff)) ** cfg.k
     f_c = dist.cdf(c)
-    # c times the chance that exactly one type lies below c: exactly 0.0
-    # once F(c) = 1, where k * c would overflow for c above float max / k.
-    one_below = 0.0 if f_c == 1.0 else cfg.k * c * f_c * (1.0 - f_c) ** (cfg.k - 1)
+    # c times the chance that exactly one type lies below c. The term is at
+    # most c, but k * c overflows above float max / k; there it is taken in
+    # units of 2**m, a scaling that is exact.
+    m = 0 if cfg.k * c < math.inf else cfg.k.bit_length()
+    one_below = math.ldexp(cfg.k * math.ldexp(c, -m) * f_c * (1.0 - f_c) ** (cfg.k - 1), m)
     payment = (
         _second_lowest_integral(cfg, c)
         + one_below

@@ -135,6 +135,16 @@ def test_wide_support_laws_match_plain_bisection(law):
     assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
 
 
+def test_a_support_much_narrower_than_sigma_matches_plain_bisection():
+    """TN(555220, 504628) on [0, 1] has a mass of about 4.3e-7, so its
+    float cdf wobbles by about 1e-10, more than the replayed bracket of
+    2**-32: a replayed step decided ``mid < x`` where ``cdf(mid) < p``
+    was false, and element 548 missed plain bisection's bits."""
+    dist = TypeDistribution.truncated_normal(555220.0, 504628.0, 0.0, 1.0)
+    p = np.random.default_rng(58).random(2000)
+    assert_same_bits(dist.inverse_cdf(p), plain_bisection(dist, p))
+
+
 # Supports whose span over 1e-12 overflows a float (above about 1.8e296).
 OVERFLOWING_LAWS = [(125.0, 50.0, 50.0, 1e297), (125.0, 50.0, 0.0, 1e297)]
 

@@ -207,3 +207,16 @@ def test_a_reserve_above_float_max_over_k_is_the_point_at_r_max(kind, k):
     top, far = curve_point(cfg, dist.r_max), curve_point(cfg, 1e308)
     assert (far.expected_payoff, far.regime, far.expected_payment) == (
         top.expected_payoff, top.regime, top.expected_payment)
+
+
+def test_a_law_wider_than_float_max_over_k_has_a_finite_rising_payment():
+    """On uniform [50, 1e308] the one-type-below-c term is at most c, but
+    ``k * c`` overflowed to inf for c above float max / k: the curve
+    printed ``N`` for payoff and payment at c = 5e307 and 7.5e307."""
+    dist = TypeDistribution.uniform(50.0, 1e308)
+    cfg = MarketConfig(k=4, dist=dist, eta_apo=0.3, delta_lte=0.4, r_lte=95.0)
+    points = [curve_point(cfg, c) for c in (2.5e307, 5e307, 7.5e307, 1e308)]
+    payments = [p.expected_payment for p in points]
+    assert all(math.isfinite(p.expected_payoff) for p in points)
+    assert all(math.isfinite(p) for p in payments)
+    assert payments == sorted(payments) and len(set(payments)) == len(payments)

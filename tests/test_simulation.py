@@ -8,9 +8,12 @@ from spectrum_auction import (
     MarketConfig,
     Mode,
     RngStream,
+    expected_payoff,
     run_experiment,
     social_welfare_max,
 )
+from spectrum_auction.cli import parse_market
+from spectrum_auction.presets import preset
 from spectrum_auction.simulation import (
     run_auction_replication,
     run_benchmark_replication,
@@ -160,3 +163,27 @@ class TestSweep:
         results = run_sweep(xcfg)
         assert [m.r_lte for m, _ in results] == [95.0, 120.0]
         assert all(r.summary.replications == 20 for _, r in results)
+
+
+def test_the_simulated_buyer_gain_matches_its_closed_form():
+    """The benchmark buyer payoff is the constant ``delta * R``, so the
+    mean buyer gain has the exact value ``E[payoff(c*)] / (delta R) - 1``.
+    On the five fig8 cells at seeds 1 and 2 (5 000 replications each),
+    the case-1 cells, where no seller sells, are exactly 0; each other
+    cell's z-score, its error over its standard error ``hw / 1.96``,
+    is below 3 in size, and at least 7 of the 8 are below 2.5."""
+    fig8 = preset("fig8")
+    zs = []
+    for seed in (1, 2):
+        xcfg = ExperimentConfig(parse_market(fig8), replications=5000, master_seed=seed,
+                                sweep=fig8["sweep"])
+        for cfg, result in run_sweep(xcfg):
+            s = result.summary
+            exact = expected_payoff(cfg, s.c_star) / (cfg.delta_lte * cfg.r_lte) - 1.0
+            if s.c_star == 0.0:
+                assert s.mean_rho_lte == exact == 0.0
+            else:
+                zs.append(abs(s.mean_rho_lte - exact) / (s.hw_rho_lte / 1.96))
+    assert len(zs) == 8
+    assert max(zs) < 3.0
+    assert sum(z < 2.5 for z in zs) >= 7

@@ -6,7 +6,9 @@ order on Python floats. ``parent_residual`` below is the residual the
 engine ran before: it sends a scalar through a 0-d array, as the solvers
 did, and is kept as the reference for the residual and the solves. Its
 ``parent_standard`` and ``parent_mid`` forms are the two per-regime
-residuals that the one ``threshold_residual`` replaced."""
+residuals that the one ``threshold_residual`` replaced. ``buffered_residual``
+is the array residual as the engine computed it before, in six reused
+buffers, and is kept as the reference for the array residual's bits."""
 import math
 import struct
 
@@ -49,6 +51,30 @@ def parent_residual(cfg, c, r, f_floor):
             math.comb(k - 1, n) * mass**n * surv ** (k - 1 - n) * (c - r) / (n + 1)
         )
     return float(total) if np.ndim(total) == 0 else total
+
+
+def buffered_residual(cfg, c, r, f_floor):
+    """The array residual as the engine ran it before: the same
+    operations computed in six reused buffers."""
+    k = cfg.k
+    r = np.asarray(r, dtype=float)
+    fr = cfg.dist.cdf(r)
+    surv = np.subtract(1.0, fr)
+    mass = np.subtract(fr, f_floor, out=fr)
+    gap = np.subtract(c, r)
+    total = np.multiply(cfg.externality_share, r)
+    np.subtract(c, total, out=total)
+    term = np.power(surv, k - 1)
+    total *= term
+    power = np.empty_like(total)
+    for n in range(1, k):
+        np.power(mass, n, out=term)
+        term *= math.comb(k - 1, n)
+        term *= np.power(surv, k - 1 - n, out=power)
+        term *= gap
+        term /= n + 1
+        total += term
+    return total
 
 
 def parent_standard(cfg, c, r):
@@ -112,6 +138,27 @@ def test_scalar_residuals_are_the_parent_residuals(name, k):
                     got = eq.threshold_residual(cfg.sellers, c, r)
                     assert type(got) is float
                     assert bits(got) == bits(old(cfg, c, r))
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("k", range(2, 10))
+def test_array_residuals_are_the_buffered_residuals(name, k):
+    """The one residual expression gives the six-buffer array body's bits
+    on a solve's whole scan grid and on its cell ends: an array ``**``
+    that is not ``np.power`` (``np.square`` at 2, say) would show here."""
+    dist = LAWS[name]
+    sellers = eq.SellerMarket(k, dist, 0.3)
+    reserves = [dist.r_min + 0.3 * dist.span]
+    if dist.r_min > 0.0:
+        reserves.append(0.5 * (sellers.low_regime_cap + dist.r_min))
+    for c in reserves:
+        lo = max(c, dist.r_min)
+        f_floor = float(dist.cdf(lo))
+        xs = np.linspace(lo, dist.r_max, eq.SCAN_POINTS)
+        ends = np.append(xs[:-1:eq.SCAN_CELL], xs[-1])
+        for grid in (xs, ends):
+            got = eq._threshold_residual(sellers, c, grid, f_floor)
+            assert got.tobytes() == buffered_residual(sellers, c, grid, f_floor).tobytes()
 
 
 def solve_outcome(solver, sellers, c):
