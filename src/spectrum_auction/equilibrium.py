@@ -24,7 +24,14 @@ equilibrium arbitrarily. The scan is certified by cells: a bound on the
 residual over each cell of the grid vouches for its sign, and the
 residual is evaluated exactly only at the cell ends and in the cells
 the bound cannot close, about 300 of the 10 000 points, for the same
-brackets as evaluating all of them.
+brackets as evaluating all of them. The grid itself is never built:
+its points are made where needed, with ``np.linspace``'s bits.
+
+A scan is some 100 numpy calls on arrays of about 100 points, so the
+optimizers' grids scan in blocks of reserves, one array pass each
+(:func:`reserve_grid`); a solve alone is a block of one. The bisections
+stay scalar, one reserve at a time: the array and the scalar residuals
+can differ in the last bits, so batching them would move the roots.
 
 The equilibrium is seller-side: it depends on ``k``, the type law and
 ``eta`` (a :class:`SellerMarket`), not on the buyer's throughput or its
@@ -39,9 +46,12 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -52,10 +62,14 @@ from .numerics import bisect_root, is_finite, is_number, sign_change_brackets
 # Grid density of the root-existence scan used both for bracketing and
 # for the uniqueness check. The scan returns the brackets of all of its
 # points but evaluates the residual exactly only at the ends of its cells
-# and inside the cells its bound cannot close (:func:`_scan_brackets`).
+# and inside the cells its bound cannot close (:func:`_scan_block`).
 SCAN_POINTS = 10_000
 # Grid steps per cell of the certified scan.
 SCAN_CELL = 100
+# Reserves of a grid whose cell scans one array pass takes together
+# (:func:`reserve_grid`). A block's (32, 101) float arrays stay far below
+# glibc's 128 KiB mmap threshold, which unblocked 200-row arrays cross.
+SCAN_BLOCK = 32
 
 # Entries kept by each equilibrium cache. They are keyed on the seller
 # side and a float reserve, so an unbounded cache grows with every
@@ -289,11 +303,13 @@ def threshold_residual(cfg: SellerMarket, c: float, r):
     return _threshold_residual(cfg, c, r, float(cfg.dist.cdf(max(c, cfg.dist.r_min))))
 
 
-def _cell_bounds(cfg: SellerMarket, c: float, ends: np.ndarray, f_floor: float):
+def _cell_bounds(cfg: SellerMarket, c, ends: np.ndarray, f_floor):
     """``(low, high)``, arrays with one entry per cell between consecutive
-    scan points ``ends``: the array residual at every scan grid point of
-    the cell, times ``k``, lies in ``[low, high]``. An entry may be NaN
-    or infinite, where the bound overflows.
+    scan points along the last axis of ``ends``: the array residual at
+    every scan grid point of the cell, times ``k``, lies in
+    ``[low, high]``. An entry may be NaN or infinite, where the bound
+    overflows. ``c`` and ``f_floor`` are floats, or columns with one
+    row per row of ``ends``.
 
     The bound. With ``s = 1 - F(r)``, ``S0 = 1 - f_floor`` and
     ``Q(s) = sum(S0**j * s**(k-1-j) for j < k)``, the mass is
@@ -337,16 +353,18 @@ def _cell_bounds(cfg: SellerMarket, c: float, ends: np.ndarray, f_floor: float):
     k, eta, dist = cfg.k, cfg.eta_apo, cfg.dist
     surv = np.subtract(1.0, dist.cdf(ends))
     d = 2.0**-45 / (1.0 if dist.kind == UNIFORM else dist._mass)
-    s = np.empty((2, ends.size - 1))
-    np.maximum(np.subtract(surv[1:], d, out=s[0]), 0.0, out=s[0])
-    np.add(surv[:-1], d, out=s[1])
+    s = np.empty((2, *surv.shape[:-1], surv.shape[-1] - 1))
+    np.maximum(np.subtract(surv[..., 1:], d, out=s[0]), 0.0, out=s[0])
+    np.add(surv[..., :-1], d, out=s[1])
     p = np.power(s, k - 1)
-    s0 = 1.0 - f_floor
+    # S0**j by libm pow on Python floats, as for a float floor: numpy's
+    # SIMD pow may be 1 ulp off it.
+    s0 = [1.0 - f for f in np.ravel(f_floor).tolist()]
     q = np.ones_like(s)
     for j in range(1, k):
         q *= s
-        q += s0**j
-    a, b = ends[:-1], ends[1:]
+        q += np.reshape([v**j for v in s0], np.shape(f_floor))
+    a, b = ends[..., :-1], ends[..., 1:]
     with np.errstate(all="ignore"):
         lower = (1.0 - eta) * a * p[0] + (c - b) * q[1]
         upper = (1.0 - eta) * b * p[1] + (c - a) * q[0]
@@ -355,37 +373,133 @@ def _cell_bounds(cfg: SellerMarket, c: float, ends: np.ndarray, f_floor: float):
         return lower - margin, upper + margin
 
 
-def _scan_brackets(cfg: SellerMarket, c: float, xs: np.ndarray, f_floor: float):
-    """``sign_change_brackets(xs, residual(xs))`` on a solve's scan grid
-    ``xs``, the same list, with the array residual taken only at the
-    ends of the ``SCAN_CELL``-step cells and inside the open cells.
+def _scan_points(lo, r_max: float, idx):
+    """``np.linspace(lo, r_max, SCAN_POINTS)[idx]``, bit for bit, without
+    building the grid: ``idx * step + lo`` (``idx / div * delta + lo``
+    where the step underflows to 0, as numpy does), and ``r_max`` at the
+    last index. ``lo`` and the float indices ``idx`` broadcast."""
+    div = SCAN_POINTS - 1
+    delta = np.subtract(r_max, lo)
+    step = delta / div
+    xs = np.where(step == 0.0, idx / div * delta, idx * step)
+    xs += lo
+    return np.where(idx == div, r_max, xs)
 
-    A cell is closed when its :func:`_cell_bounds` interval excludes 0
-    and the exact residuals at both its ends, one array call, have the
-    interval's sign; a NaN bound or residual closes nothing. A closed
-    cell holds no zero or sign change, and neighbouring closed cells
-    share an end and so a sign, so each bracket of the full scan lies in
-    a maximal run of open cells, which is scanned with both its ends. A
-    grid point's array residual does not depend on the array around it,
-    so those are the full scan's bits, and the brackets come out in its
-    order: zeros, then sign changes, each ascending.
+
+# Scan grid indices of the cell ends.
+_CELL_ENDS = np.append(np.arange(0.0, SCAN_POINTS - 1, SCAN_CELL), SCAN_POINTS - 1)
+_CELL_ENDS.setflags(write=False)
+
+
+def _scan_block(cfg: SellerMarket, cs: list[float]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """The certified cell scan of the mid and standard reserves ``cs`` in
+    one array pass: for each reserve, the maximal runs of open cells of
+    its scan grid as ascending ``(points, residuals)`` pairs.
+
+    With ``c`` and the floor as columns, the cell ends of every reserve
+    are one ``(len(cs), 101)`` residual call and one :func:`_cell_bounds`
+    call. A cell is closed when its bound interval excludes 0 and the
+    exact residuals at both its ends have the interval's sign; a NaN
+    bound or residual closes nothing. A closed cell holds no zero or sign
+    change, and neighbouring closed cells share an end and so a sign, so
+    each bracket of the full scan lies in a run of open cells. The runs
+    of every reserve are one more residual call. A grid point's array
+    residual depends neither on the array around it nor on the other
+    rows, so these are the full scan's bits.
     """
-    ends = np.append(xs[:-1:SCAN_CELL], xs[-1])
+    dist, div = cfg.dist, SCAN_POINTS - 1
+    c = np.array(cs)[:, None]
+    lo = np.maximum(c, dist.r_min)
+    f_floor = dist.cdf(lo)
+    ends = _scan_points(lo, dist.r_max, _CELL_ENDS)
     y = _threshold_residual(cfg, c, ends, f_floor)
     low, high = _cell_bounds(cfg, c, ends, f_floor)
     positive, negative = y > 0.0, y < 0.0
-    closed = (low > 0.0) & positive[:-1] & positive[1:]
-    closed |= (high < 0.0) & negative[:-1] & negative[1:]
-    runs = []
-    for j in np.flatnonzero(~closed).tolist():
-        if runs and runs[-1][1] == j:
-            runs[-1][1] = j + 1
+    closed = (low > 0.0) & positive[:, :-1] & positive[:, 1:]
+    closed |= (high < 0.0) & negative[:, :-1] & negative[:, 1:]
+    runs = []  # [row, first grid index, last grid index]
+    for row, j in zip(*(a.tolist() for a in np.nonzero(~closed))):
+        if runs and runs[-1][0] == row and runs[-1][2] == j * SCAN_CELL:
+            runs[-1][2] = min((j + 1) * SCAN_CELL, div)
         else:
-            runs.append([j, j + 1])
+            runs.append([row, j * SCAN_CELL, min((j + 1) * SCAN_CELL, div)])
+    out = [[] for _ in cs]
+    if not runs:
+        return out
+    sizes = [i1 + 1 - i0 for _, i0, i1 in runs]
+    idx = np.concatenate([np.arange(i0, i1 + 1.0) for _, i0, i1 in runs])
+    rows = np.repeat([row for row, _, _ in runs], sizes)
+    xs = _scan_points(lo[rows, 0], dist.r_max, idx)
+    ys = _threshold_residual(cfg, c[rows, 0], xs, f_floor[rows, 0])
+    start = 0
+    for (row, _, _), size in zip(runs, sizes):
+        out[row].append((xs[start:start + size], ys[start:start + size]))
+        start += size
+    return out
+
+
+class _ReserveGrid:
+    """The reserves of a grid whose threshold solves on ``sellers`` scan
+    in blocks, and the open runs of the block reserves not yet solved."""
+
+    def __init__(self, sellers: SellerMarket, reserves):
+        self.sellers = sellers
+        self.reserves = [float(c) for c in reserves]
+        self.index = {c: i for i, c in enumerate(self.reserves)}
+        self.scanned: dict[float, list] = {}
+
+    def runs(self, cfg: SellerMarket, c: float):
+        """The open runs of reserve ``c``: from the block that scanned it,
+        or from a new block of ``c`` and the next ``SCAN_BLOCK - 1`` mid and
+        standard reserves of the grid not yet scanned."""
+        if cfg != self.sellers or c not in self.index:
+            return _scan_block(cfg, [c])[0]
+        if c in self.scanned:
+            return self.scanned.pop(c)
+        later = (x for x in self.reserves[self.index[c] + 1:] if x not in self.scanned
+                 and classify_regime(cfg, x) in (RegimeKind.MID, RegimeKind.STANDARD))
+        block = [c, *islice(later, SCAN_BLOCK - 1)]
+        try:
+            # A block that would warn, or raise, scans c alone: its row
+            # then warns or raises as its own solve does.
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                scanned = _scan_block(cfg, block)
+        except FloatingPointError:
+            return _scan_block(cfg, [c])[0]
+        self.scanned.update(zip(block[1:], scanned[1:]))
+        return scanned[0]
+
+
+_reserve_grid: ContextVar[_ReserveGrid | None] = ContextVar("reserve_grid", default=None)
+
+
+@contextmanager
+def reserve_grid(sellers: SellerMarket, reserves):
+    """Scope in which the threshold solves of a grid of ``reserves`` on
+    ``sellers`` scan in blocks. A solve of a grid reserve that misses the
+    caches scans its cells together with those of the next
+    ``SCAN_BLOCK - 1`` mid and standard reserves of the grid
+    (:func:`_scan_block`); their solves take their brackets from that
+    block. Each solve still checks its own endpoint signs, counts its
+    own brackets and bisects on its own, so every root and every refusal
+    is the one a solve outside the scope gives."""
+    token = _reserve_grid.set(_ReserveGrid(sellers, reserves))
+    try:
+        yield
+    finally:
+        _reserve_grid.reset(token)
+
+
+def _scan_brackets(cfg: SellerMarket, c: float) -> list[tuple[float, float]]:
+    """``sign_change_brackets`` of the residual on reserve ``c``'s whole
+    scan grid, from the open runs of its cell scan: zeros, then sign
+    changes, each ascending. Inside :func:`reserve_grid` the scan is a
+    block's; elsewhere it is a block of one."""
+    grid = _reserve_grid.get()
+    runs = _scan_block(cfg, [c])[0] if grid is None else grid.runs(cfg, c)
     zeros, crossings = [], []
-    for j0, j1 in runs:
-        run = xs[j0 * SCAN_CELL:j1 * SCAN_CELL + 1]
-        for bracket in sign_change_brackets(run, _threshold_residual(cfg, c, run, f_floor)):
+    for xs, ys in runs:
+        for bracket in sign_change_brackets(xs, ys):
             (zeros if bracket[0] == bracket[1] else crossings).append(bracket)
     return zeros + crossings
 
@@ -409,8 +523,7 @@ def _solve_threshold(cfg: SellerMarket, c: float) -> float:
             f"threshold residual endpoints not (+, -) on [{lo:.6g}, {r_max:.6g}]: "
             f"({y_lo:.3g}, {y_hi:.3g})"
         )
-    xs = np.linspace(lo, r_max, SCAN_POINTS)
-    brackets = _scan_brackets(cfg, c, xs, f_floor)
+    brackets = _scan_brackets(cfg, c)
     if len(brackets) != 1:
         raise NonUniqueThreshold(
             f"threshold equation has {len(brackets)} roots at c={c:.6g}; refusing"

@@ -313,6 +313,7 @@ def optimize_reserve_multi(cfg: MultiMarketConfig, *, n: int = MC_SAMPLES) -> Op
     width = 1e-3 * cfg.dist.r_max
     c_star, best_val = _search_reserve(
         lambda c: expected_payoff_multi(cfg, c, n=n),
+        cfg.alone_market.sellers,
         lo,
         hi,
         cfg.r_lte,

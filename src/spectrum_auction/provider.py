@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import TypeDistribution
-from .equilibrium import MarketConfig, RegimeKind, solve_strategy
+from .equilibrium import MarketConfig, RegimeKind, SellerMarket, reserve_grid, solve_strategy
 from .numerics import CumulativeSimpson, golden_section_max, has_interior_dip
 
 QUAD_START_PANELS = 2048
@@ -128,7 +128,8 @@ def capacity_threshold(cfg: MarketConfig) -> float:
 
 
 def _search_reserve(
-    estimate, lo: float, hi: float, r_lte: float, *, fallback_points: int, width: float, refine,
+    estimate, sellers: SellerMarket, lo: float, hi: float, r_lte: float, *,
+    fallback_points: int, width: float, refine,
 ) -> tuple[float, float]:
     """Guarded maximization of a payoff curve on [lo, hi], shared by the
     single- and multi-buyer optimizers; returns ``(c, value)``.
@@ -140,12 +141,18 @@ def _search_reserve(
     A unimodal scan runs golden section down to ``width``; each
     candidate of ``refine(c)`` then replaces the optimum when it is
     strictly better.
+
+    ``estimate`` solves its thresholds on ``sellers``; each grid's
+    solves scan in blocks (:func:`equilibrium.reserve_grid`).
     """
-    scan = [estimate(float(c)) for c in np.linspace(lo, hi, GUARD_POINTS)]
+    guard = np.linspace(lo, hi, GUARD_POINTS)
+    with reserve_grid(sellers, guard):
+        scan = [estimate(float(c)) for c in guard]
     tol = 1e-4 * r_lte + 6.0 * float(np.median([se for _, se in scan]))
     if has_interior_dip([v for v, _ in scan], tol):
         fine = np.linspace(lo, hi, fallback_points)
-        values = [estimate(float(c))[0] for c in fine]
+        with reserve_grid(sellers, fine):
+            values = [estimate(float(c))[0] for c in fine]
         best = int(np.argmax(values))
         return float(fine[best]), float(values[best])
     c_star, best = golden_section_max(lambda c: estimate(c)[0], lo, hi, width_tol=width)
@@ -182,6 +189,7 @@ def optimize_reserve(cfg: MarketConfig) -> OptimalReserve:
 
     c_star, best = _search_reserve(
         lambda c: (expected_payoff(cfg, c), 0.0),
+        cfg.sellers,
         low_cap,
         hi,
         r,

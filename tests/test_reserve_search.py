@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spectrum_auction import CertificationFailed, TypeDistribution
+from spectrum_auction import CertificationFailed, SellerMarket, TypeDistribution
 from spectrum_auction import numerics, provider
 from spectrum_auction.cli import main, parse_market
 from spectrum_auction.presets import preset
@@ -18,9 +18,13 @@ def two_peaks(c):
     return float(np.exp(-((c - 2.0) ** 2)) + 2.0 * np.exp(-((c - 8.0) ** 2)))
 
 
+# The test curves solve no thresholds; the search takes a seller market all the same.
+SELLERS = SellerMarket(4, TypeDistribution.uniform(50.0, 200.0), 0.3)
+
+
 def search(estimate, refine=lambda c: ()):
-    return _search_reserve(estimate, 0.0, 10.0, 10.0, fallback_points=501, width=1e-6,
-                           refine=refine)
+    return _search_reserve(estimate, SELLERS, 0.0, 10.0, 10.0, fallback_points=501,
+                           width=1e-6, refine=refine)
 
 
 class TestSearchReserve:

@@ -11,6 +11,7 @@ is the array residual as the engine computed it before, in six reused
 buffers, and is kept as the reference for the array residual's bits."""
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -339,10 +340,10 @@ def outcome(run):
 
 
 @st.composite
-def scan_markets(draw):
-    """A seller market and a mid or standard reserve: k from 2 to 9, a
-    uniform or truncated-normal law (mu up to 8 sigma outside the support,
-    sigma from 1e-2 to 10 spans), eta near 0 or near 1."""
+def scan_sellers(draw):
+    """A seller market: k from 2 to 9, a uniform or truncated-normal law
+    (mu up to 8 sigma outside the support, sigma from 1e-2 to 10 spans),
+    eta near 0 or near 1."""
     k = draw(st.integers(2, 9))
     r_min, r_max = draw(st.sampled_from(SUPPORTS))
     span = r_max - r_min
@@ -361,7 +362,15 @@ def scan_markets(draw):
         except InvalidDistribution:
             assume(False)
     eta = draw(st.one_of(st.floats(1e-6, 0.05), st.floats(0.95, 1.0 - 1e-6)))
-    sellers = eq.SellerMarket(k, dist, eta)
+    return eq.SellerMarket(k, dist, eta)
+
+
+@st.composite
+def scan_markets(draw):
+    """A seller market of :func:`scan_sellers` and a mid or standard
+    reserve."""
+    sellers = draw(scan_sellers())
+    r_min, span = sellers.dist.r_min, sellers.dist.span
     frac = draw(st.floats(0.0, 1.0, exclude_max=True))
     if draw(st.booleans()):
         c = r_min + frac * span
@@ -390,7 +399,7 @@ def test_the_cell_scan_is_the_full_scan(market):
     with np.errstate(all="ignore"):
         ys = eq._threshold_residual(sellers, c, xs, f_floor)
         low, high = eq._cell_bounds(sellers, c, xs[ends], f_floor)
-        got = outcome(lambda: eq._scan_brackets(sellers, c, xs, f_floor))
+        got = outcome(lambda: eq._scan_brackets(sellers, c))
     assert got == outcome(lambda: sign_change_brackets(xs, ys))
     y_ends = ys[ends]
     for j in range(ends.size - 1):
@@ -453,3 +462,217 @@ def test_a_coarse_residual_against_the_bound_opens_its_cells(monkeypatch):
     assert np.isin(xs[(j - 1) * CELL:(j + 1) * CELL + 1], np.concatenate(scanned[1:])).all()
     with pytest.raises(NonUniqueThreshold):
         parent_solve(sellers, c, lo, eq.threshold_residual)
+
+
+# ---------------------------------------------------------------------------
+# A grid's solves scan in blocks of reserves, for the same roots and refusals
+# ---------------------------------------------------------------------------
+
+
+def clear_solve_caches():
+    for cache in (eq.solve_threshold_standard, eq.solve_threshold_mid, eq.solve_strategy):
+        cache.cache_clear()
+
+
+def mixed_reserves(sellers, size, rng):
+    """``size`` reserves, each drawn from one of the four regimes."""
+    dist, cap = sellers.dist, sellers.low_regime_cap
+    regimes = [(0.0, cap), (cap, dist.r_min), (dist.r_min, dist.r_max),
+               (dist.r_max, dist.r_max + dist.span)]
+    return [float(rng.uniform(*regimes[i])) for i in rng.integers(0, 4, size).tolist()]
+
+
+@seed(28)
+@settings(max_examples=100, deadline=None, database=None)
+@given(sellers=scan_sellers(), size=st.sampled_from([1, 2, 31, 32, 33, 200]),
+       mix=st.integers(0, 2**32 - 1))
+def test_block_solves_are_the_parent_and_lone_solves(sellers, size, mix):
+    """Each reserve of a grid solved inside ``reserve_grid`` has the root
+    bits or the refusal of ``parent_solve`` and of its own solve outside
+    the grid, whatever regimes its neighbours lie in and whichever of
+    them refuse."""
+    reserves = mixed_reserves(sellers, size, np.random.default_rng(mix))
+
+    def cutoff(c):
+        return outcome(lambda: eq.solve_strategy(sellers, c).cutoff)
+
+    clear_solve_caches()
+    with eq.reserve_grid(sellers, reserves):
+        got = [cutoff(c) for c in reserves]
+    clear_solve_caches()
+    alone = [cutoff(c) for c in reserves]
+    clear_solve_caches()
+    assert got == alone
+    for c, g in zip(reserves, got):
+        if eq.classify_regime(sellers, c) in (eq.RegimeKind.MID, eq.RegimeKind.STANDARD):
+            lo = max(c, sellers.dist.r_min)
+            assert g == outcome(lambda: parent_solve(sellers, c, lo, eq.threshold_residual))
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("k", range(2, 10))
+def test_block_residual_rows_are_the_1d_residuals(name, k):
+    """A ``(B, m)`` block with ``c`` and the floor as columns, and the
+    gathered 1-D call with them as vectors, have each row's own bits: the
+    residual, the floor and the cell bounds."""
+    dist = LAWS[name]
+    sellers = eq.SellerMarket(k, dist, 0.3)
+    rng = np.random.default_rng(k)
+    cs = rng.uniform(dist.r_min, dist.r_max, 12).tolist()
+    if dist.r_min > 0.0:
+        cs += rng.uniform(sellers.low_regime_cap, dist.r_min, 5).tolist()
+    c = np.array(cs)[:, None]
+    lo = np.maximum(c, dist.r_min)
+    f_floor = dist.cdf(lo)
+    ends = eq._scan_points(lo, dist.r_max, eq._CELL_ENDS)
+    spread = lo + rng.random((len(cs), 257)) * (dist.r_max - lo)
+    low, high = eq._cell_bounds(sellers, c, ends, f_floor)
+    for grid in (ends, spread):
+        block = eq._threshold_residual(sellers, c, grid, f_floor)
+        m = grid.shape[1]
+        gathered = eq._threshold_residual(sellers, np.repeat(cs, m), grid.ravel(),
+                                          np.repeat(f_floor, m))
+        assert gathered.tobytes() == block.tobytes()
+        for i, ci in enumerate(cs):
+            f = float(dist.cdf(max(ci, dist.r_min)))
+            assert bits(f) == bits(f_floor[i, 0])
+            row = eq._threshold_residual(sellers, ci, grid[i], f)
+            assert block[i].tobytes() == row.tobytes()
+    for i, ci in enumerate(cs):
+        row_low, row_high = eq._cell_bounds(sellers, ci, ends[i], float(f_floor[i, 0]))
+        assert (low[i].tobytes(), high[i].tobytes()) == (row_low.tobytes(), row_high.tobytes())
+
+
+@pytest.mark.parametrize("lo, r_max", [
+    (50.0, 200.0), (57.3, 200.0), (0.0, 100.0), (0.1, 1.37), (0.37, 1.37),
+    (math.nextafter(200.0, 0.0), 200.0), (199.9, 1e297),
+    (0.0, 1e-320),  # the step underflows to 0
+    (0.0, 3e-320),
+])
+def test_scan_points_are_linspace_bits(lo, r_max):
+    """Every grid point, built alone or in a column of reserves, has
+    ``np.linspace``'s bits."""
+    idx = np.arange(float(eq.SCAN_POINTS))
+    want = np.linspace(lo, r_max, eq.SCAN_POINTS)
+    assert eq._scan_points(lo, r_max, idx).tobytes() == want.tobytes()
+    los = np.array([[lo], [0.5 * (lo + r_max)], [lo]])
+    rows = eq._scan_points(los, r_max, idx)
+    for row, row_lo in zip(rows, los[:, 0].tolist()):
+        assert row.tobytes() == np.linspace(row_lo, r_max, eq.SCAN_POINTS).tobytes()
+    assert eq._scan_points(lo, r_max, eq._CELL_ENDS).tobytes() == want[
+        eq._CELL_ENDS.astype(int)].tobytes()
+
+
+def fig8_market(r_lte):
+    return MarketConfig(4, LAWS["TN(125,50)"], 0.3, 0.4, r_lte)
+
+
+@pytest.mark.parametrize("j", [32, 40])
+def test_a_grid_refuses_at_the_first_refusing_reserve(monkeypatch, j):
+    """Guard-grid reserve j has three roots and reserve j+1 a NaN scan,
+    in one block (j = 40) or across two (j = 32): the optimizer raises the
+    three-root refusal of reserve j's own solve, and the caches hold the
+    reserves before j alone."""
+    from spectrum_auction.provider import GUARD_POINTS, optimize_reserve
+
+    cfg = fig8_market(280.0)
+    sellers = cfg.sellers
+    guard = np.linspace(cfg.low_regime_cap, cfg.dist.r_max, GUARD_POINTS).tolist()
+    three, nan = guard[j], guard[j + 1]
+    lo, r_max = max(three, cfg.dist.r_min), cfg.dist.r_max
+    roots = [lo + f * (r_max - lo) for f in (0.2137, 0.5173, 0.8311)]
+    residual = eq._threshold_residual
+
+    def patched(cfg, c, r, f_floor):
+        out = residual(cfg, c, r, f_floor)
+        cubic = -(np.subtract(r, roots[0]) * (r - roots[1]) * (r - roots[2]))
+        out = np.where(np.equal(c, three), cubic, out)
+        if np.ndim(r):  # the scan's residual, not the endpoint checks'
+            out = np.where(np.equal(c, nan), math.nan, out)
+        return float(out) if np.ndim(out) == 0 else out
+
+    monkeypatch.setattr(eq, "_threshold_residual", patched)
+    clear_solve_caches()
+    with pytest.raises(NonUniqueThreshold) as refusal:
+        optimize_reserve(cfg)
+    assert eq._reserve_grid.get() is None
+    assert str(refusal.value) == f"threshold equation has 3 roots at c={three:.6g}; refusing"
+    assert eq.solve_strategy.cache_info().currsize == j
+    thresholds = (eq.solve_threshold_mid, eq.solve_threshold_standard)
+    assert sum(f.cache_info().currsize for f in thresholds) == j - 1
+    before = eq.solve_strategy.cache_info().hits
+    for c in guard[:j]:
+        eq.solve_strategy(sellers, c)
+    assert eq.solve_strategy.cache_info().hits == before + j
+    clear_solve_caches()
+    with pytest.raises(NonUniqueThreshold) as alone:
+        eq._solve_threshold(sellers, three)
+    assert str(alone.value) == str(refusal.value)
+    with pytest.raises(BracketingError, match="NaN residual on the root scan grid"):
+        eq._solve_threshold(sellers, nan)
+
+
+def test_a_block_that_would_warn_solves_each_reserve_as_its_own_solve(monkeypatch):
+    """One reserve's scan overflows, so a block holding it would warn (or
+    raise, with warnings as errors). With warnings as errors every
+    reserve of the grid gives its own solve's outcome: the overflowing
+    one raises its RuntimeWarning and the others their roots."""
+    sellers = fig8_market(280.0).sellers
+    grid = np.linspace(sellers.low_regime_cap, 199.0, 80).tolist()
+    bad = grid[20]
+    residual = eq._threshold_residual
+
+    def overflowing(cfg, c, r, f_floor):
+        out = residual(cfg, c, r, f_floor)
+        if np.ndim(r):
+            hit = np.broadcast_to(np.equal(c, bad), out.shape)
+            if hit.any():
+                out = out.copy()
+                out[hit] = out[hit] * 1e308 * 1e308
+        return out
+
+    def outcomes():
+        out = []
+        for c in grid:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    out.append(bits(eq.solve_strategy(sellers, c).cutoff))
+                except RuntimeWarning as exc:
+                    out.append(str(exc))
+        return out
+
+    monkeypatch.setattr(eq, "_threshold_residual", overflowing)
+    clear_solve_caches()
+    with eq.reserve_grid(sellers, grid):
+        got = outcomes()
+    clear_solve_caches()
+    assert got == outcomes()
+    assert [i for i, g in enumerate(got) if isinstance(g, str)] == [20]
+    assert "overflow" in got[20]
+    clear_solve_caches()
+
+
+def test_a_guard_grid_scans_its_misses_in_blocks(monkeypatch):
+    """On fresh caches fig8's guard grid scans its 198 mid and standard
+    reserves in blocks of ``SCAN_BLOCK``, every scanned reserve is solved,
+    and golden section's reserves scan alone. A market with the same
+    grid (r_lte 370 after 280) finds every grid solve cached and scans
+    golden section's reserves alone."""
+    from spectrum_auction.provider import optimize_reserve
+
+    scan_block, solve = eq._scan_block, eq._solve_threshold
+    blocks, solved = [], []
+    monkeypatch.setattr(eq, "_scan_block", lambda cfg, cs: blocks.append(len(cs))
+                        or scan_block(cfg, cs))
+    monkeypatch.setattr(eq, "_solve_threshold", lambda cfg, c: solved.append(c)
+                        or solve(cfg, c))
+    clear_solve_caches()
+    optimize_reserve(fig8_market(280.0))
+    assert blocks[:7] == [eq.SCAN_BLOCK] * 6 + [198 - 6 * eq.SCAN_BLOCK]
+    assert set(blocks[7:]) == {1}
+    assert sum(blocks) == len(solved)
+    blocks.clear(), solved.clear()
+    optimize_reserve(fig8_market(370.0))
+    assert blocks == [1] * len(solved)
+    clear_solve_caches()
