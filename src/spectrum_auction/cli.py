@@ -19,27 +19,38 @@ All numeric output carries 9 significant digits. Each action accepts
 only the flags it reads; an unknown flag is a usage error (exit 2).
 ``--workers`` is still checked (an integer >= 1) but has no effect:
 every experiment runs in this process.
+
+Start-up: the module sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
+caller set it, before it imports numpy. No action calls a BLAS routine,
+and the worker thread that OpenBLAS otherwise starts at import spins,
+costing CPU time in every process. ``python -m spectrum_auction.cli``
+and the ``spectrum-auction`` script reach that line before numpy loads
+because the package namespace is lazy; a program that imports the
+package without this module keeps numpy's default. The engine modules
+that only some actions use (``oracle``, ``provider``, ``simulation``,
+``multi_lte``) are imported by those actions when they run.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from enum import Enum
 
+# Must run before numpy loads (see "Start-up" in the module docstring).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from . import multi_lte, oracle, provider, simulation
 from .distributions import TypeDistribution
 from .equilibrium import MarketConfig, RegimeKind, require_count, require_reserve, solve_strategy
 from .errors import InvalidConfig, InvalidDistribution, SpectrumAuctionError
-from .multi_lte import MultiMarketConfig
 from .numerics import is_finite, is_number
 from .presets import PRESETS, preset
 from .rng import RngStream
-from .simulation import ExperimentConfig
 
 _TOP_KEYS = {
     "market",
@@ -171,6 +182,8 @@ def parse_market(cfg: dict) -> MarketConfig:
 
 
 def parse_multi_market(cfg: dict) -> MultiMarketConfig:
+    from .multi_lte import MultiMarketConfig
+
     return _parse_market_block(cfg, "multi_market", MultiMarketConfig)
 
 
@@ -217,6 +230,8 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
 
 
 def cmd_payoff_curve(args, cfg: dict, market: MarketConfig) -> None:
+    from . import provider
+
     rows = []
     for c in _curve_grid(cfg):
         point = provider.curve_point(market, float(c))
@@ -232,12 +247,16 @@ def cmd_payoff_curve(args, cfg: dict, market: MarketConfig) -> None:
 
 
 def cmd_optimize(args, cfg: dict, market: MarketConfig) -> None:
+    from . import provider
+
     _emit_json(asdict(provider.optimize_reserve(market)), args.output)
 
 
 def _experiment_config(args, cfg: dict, market, **kwargs) -> ExperimentConfig:
     """Either simulate command's config; the config checks replications
     and seed. ``--workers`` has no effect on the run but must be >= 1."""
+    from .simulation import ExperimentConfig
+
     xcfg = _built(
         ExperimentConfig,
         market,
@@ -307,6 +326,8 @@ def _multi_replication_rows(market: MultiMarketConfig, reps):
 
 
 def cmd_simulate(args, cfg: dict, market: MarketConfig) -> None:
+    from . import simulation
+
     xcfg = _experiment_config(args, cfg, market)
     cells = simulation.sweep_cells(xcfg)
     summaries = []
@@ -326,6 +347,8 @@ def cmd_simulate(args, cfg: dict, market: MarketConfig) -> None:
 
 
 def cmd_verify(args, cfg: dict, market: MarketConfig) -> None:
+    from . import oracle
+
     c = _reserve_arg(args, cfg)
     _built(oracle.require_grids, args.samples, args.type_grid, args.bid_grid)
     report = oracle.best_response_check(
@@ -342,11 +365,15 @@ def cmd_verify(args, cfg: dict, market: MarketConfig) -> None:
 
 
 def cmd_multi_optimize(args, cfg: dict, market: MultiMarketConfig) -> None:
+    from . import multi_lte
+
     _built(multi_lte.require_samples, args.samples)
     _emit_json(asdict(multi_lte.optimize_reserve_multi(market, n=args.samples)), args.output)
 
 
 def cmd_multi_payoff_curve(args, cfg: dict, market: MultiMarketConfig) -> None:
+    from . import multi_lte
+
     _built(multi_lte.require_samples, args.samples)
     rows = []
     for c in _curve_grid(cfg):
@@ -356,6 +383,8 @@ def cmd_multi_payoff_curve(args, cfg: dict, market: MultiMarketConfig) -> None:
 
 
 def cmd_multi_simulate(args, cfg: dict, market: MultiMarketConfig) -> None:
+    from . import multi_lte
+
     xcfg = _experiment_config(args, cfg, market, reserve=args.reserve)
     result = multi_lte.run_experiment_multi(xcfg)
     if args.output:

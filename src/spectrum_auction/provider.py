@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import TypeDistribution
+from .distributions import TRUNCATED_NORMAL, TypeDistribution
 from .equilibrium import MarketConfig, RegimeKind, SellerMarket, reserve_grid, solve_strategy
 from .numerics import CumulativeSimpson, golden_section_max, has_interior_dip
 
@@ -57,17 +57,37 @@ class OptimalReserve:
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _payment_table(dist: TypeDistribution, k: int, budget: float) -> CumulativeSimpson:
-    """Cumulative table of ``r f(r) F(r) (1-F(r))^(k-2)`` over the
-    support, accurate to ``budget``. The integrand depends only on the
-    law and ``k``; the reserve moves only the upper limit, so one table
-    serves every reserve of a market."""
+    """Cumulative table of ``r f(r) F(r) (1-F(r))^(k-2)`` over the law's
+    numerical support, accurate to ``budget``. The integrand depends only
+    on the law and ``k``; the reserve moves only the upper limit, so one
+    table serves every reserve of a market.
+
+    A truncated normal's numerical support is the part of its support
+    within 40 sigma of ``mu``: beyond it ``exp(-z*z/2)`` underflows
+    (``z > 38.6``) and the float integrand is exactly 0. A grid over the
+    whole support can step over all the mass: on TN(125, 50) over [50,
+    1e6] both starting grids read about 0, so doubling stopped at once.
+    The integral dropped is below the budget. With ``M`` the law's mass,
+    the integrand is at most ``r phi((r - mu)/sigma) / (sigma M)``, so
+    it integrates to at most ``(mu Q(40) + sigma phi(40)) / M`` above
+    ``mu + 40 sigma`` and to at most ``mu Q(40) / M`` below ``mu - 40
+    sigma`` (where ``0 <= r``). With ``Q(40) < phi(40) / 40`` and
+    ``phi(40) < 2e-348``, the sum is below ``2e-348 (|mu| / 20 + sigma)
+    / M``. A float cdf value ``0.5 (1 + erf)`` is a multiple of
+    ``2**-54``, so an accepted law has ``M >= 2**-54``, and the dropped
+    integral is below ``4e-332 (|mu| + sigma)``: under the budget ``1e-8
+    r_lte / (k(k-1))`` unless ``r_lte / (k(k-1)) < 4e-324 (|mu| +
+    sigma)``. A uniform law, and a normal one whose support lies within
+    40 sigma of ``mu`` (every preset's), keeps its whole support."""
 
     def integrand(r):
         fr = dist.cdf(r)
         return r * dist.pdf(r) * fr * (1.0 - fr) ** (k - 2)
 
-    return CumulativeSimpson(integrand, dist.r_min, dist.r_max,
-                             start_panels=QUAD_START_PANELS, budget=budget)
+    lo, hi = dist.r_min, dist.r_max
+    if dist.kind == TRUNCATED_NORMAL:
+        lo, hi = max(lo, dist.mu - 40.0 * dist.sigma), min(hi, dist.mu + 40.0 * dist.sigma)
+    return CumulativeSimpson(integrand, lo, hi, start_panels=QUAD_START_PANELS, budget=budget)
 
 
 def _second_lowest_integral(cfg: MarketConfig, hi: float) -> float:

@@ -167,7 +167,7 @@ class TestConfigSource:
             streams.append((rng.master_seed, rng.stream_index))
             return check(*args, rng=rng, **kwargs)
 
-        monkeypatch.setattr("spectrum_auction.cli.oracle.best_response_check", record)
+        monkeypatch.setattr("spectrum_auction.oracle.best_response_check", record)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"market": preset("appendixK")["market"], "c": 55.0,
                                     "seed": 5}))
@@ -184,7 +184,6 @@ class TestRefusalExitCode:
             raise NonUniqueThreshold("synthetic")
 
         monkeypatch.setattr(provider, "optimize_reserve", refuse)
-        monkeypatch.setattr("spectrum_auction.cli.provider.optimize_reserve", refuse)
         code, _, err = run_cli(capsys, "optimize", "--preset", "appendixK")
         assert code == 3
         assert json.loads(err)["error"] == "NonUniqueThreshold"

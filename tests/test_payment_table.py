@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrum_auction import MarketConfig, TypeDistribution
+from spectrum_auction import MarketConfig, RngStream, TypeDistribution
 from spectrum_auction import equilibrium as eq
 from spectrum_auction import provider
 from spectrum_auction.numerics import CumulativeSimpson, simpson_with_doubling
+from spectrum_auction.oracle import payments_for_types, sample_type_matrix
 from spectrum_auction.provider import QUAD_START_PANELS, curve_point
 
 
@@ -113,3 +114,20 @@ def test_a_payoff_does_not_depend_on_the_markets_evaluated_before_it(dist):
         for c in reserves:
             curve_point(MarketConfig(4, dist, 0.3, 0.4, r_lte), c)
     assert points() == fresh
+
+
+@pytest.mark.parametrize("r_max, rows", [(1e6, 200_000), (1e297, 10_000)])
+def test_a_wide_law_pays_what_the_monte_carlo_oracle_pays(r_max, rows):
+    """TN(125, 50) over a support far wider than the law: the table spans
+    the law's numerical support, so its grid cannot step over the mass.
+    Over the whole of [50, 1e6] the table read 43.54 at c = 300 against
+    the oracle's 116.74. Standard-regime reserves, as criterion 3 checks
+    them, within 4 standard errors of one pool per law."""
+    dist = TypeDistribution.truncated_normal(125.0, 50.0, 50.0, r_max)
+    cfg = MarketConfig(4, dist, 0.3, 0.4, 370.0)
+    pool = sample_type_matrix(cfg, rows, RngStream(7, 0))
+    for c in (60.0, 100.0, 150.0, 190.0, 300.0):
+        assert eq.solve_strategy(cfg.sellers, c).regime is eq.RegimeKind.STANDARD
+        pay = payments_for_types(cfg, c, pool)
+        se = float(pay.std(ddof=1)) / math.sqrt(rows)
+        assert abs(float(pay.mean()) - provider.expected_payment(cfg, c)) <= 4 * se + 1e-9, c

@@ -99,6 +99,6 @@ class TestRefusalExitCodes:
         def refuse(*args, **kwargs):
             raise CertificationFailed(60.0, None, 0.5, 0.01)
 
-        monkeypatch.setattr("spectrum_auction.cli.oracle.best_response_check", refuse)
+        monkeypatch.setattr("spectrum_auction.oracle.best_response_check", refuse)
         code, err = self.run(capsys, "verify", "--preset", "appendixK", "--c", "55")
         assert (code, err["error"]) == (3, "CertificationFailed")
