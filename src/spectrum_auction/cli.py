@@ -20,15 +20,18 @@ only the flags it reads; an unknown flag is a usage error (exit 2).
 ``--workers`` is still checked (an integer >= 1) but has no effect:
 every experiment runs in this process.
 
-Start-up: the module sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
-caller set it, before it imports numpy. No action calls a BLAS routine,
-and the worker thread that OpenBLAS otherwise starts at import spins,
-costing CPU time in every process. ``python -m spectrum_auction.cli``
-and the ``spectrum-auction`` script reach that line before numpy loads
-because the package namespace is lazy; a program that imports the
-package without this module keeps numpy's default. The engine modules
-that only some actions use (``oracle``, ``provider``, ``simulation``,
-``multi_lte``) are imported by those actions when they run.
+Start-up: importing this module sets ``OPENBLAS_NUM_THREADS`` to 1,
+unless the caller set it, before it imports numpy. No action calls a
+BLAS routine, and the worker thread that OpenBLAS otherwise starts at
+import spins, costing CPU time in every process. ``python -m
+spectrum_auction.cli`` and the ``spectrum-auction`` script reach that
+line before numpy loads because the package namespace is lazy. The
+import, not only a command, sets the variable, so any program that
+imports this module sets it for its process and its child processes;
+a program that imports the package without this module keeps numpy's
+default. The engine modules that only some actions use (``oracle``,
+``provider``, ``simulation``, ``multi_lte``) are imported by those
+actions when they run.
 """
 from __future__ import annotations
 

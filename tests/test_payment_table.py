@@ -122,7 +122,15 @@ def test_a_wide_law_pays_what_the_monte_carlo_oracle_pays(r_max, rows):
     the law's numerical support, so its grid cannot step over the mass.
     Over the whole of [50, 1e6] the table read 43.54 at c = 300 against
     the oracle's 116.74. Standard-regime reserves, as criterion 3 checks
-    them, within 4 standard errors of one pool per law."""
+    them, within 4 standard errors of one pool per law.
+
+    Both sides use ``solve_strategy``'s cutoff, so a row checks the
+    table's quadrature against the sampled payment of that strategy, not
+    the strategy itself. On [50, 1e297] the threshold solve returns a
+    cutoff near 3.7e284 where it should be about 71-165 (a defect of the
+    threshold solve, still open), so no type abstains there: that row
+    checks only the quadrature over a support as wide as a float
+    allows. The 1e6 row checks a sound equilibrium."""
     dist = TypeDistribution.truncated_normal(125.0, 50.0, 50.0, r_max)
     cfg = MarketConfig(4, dist, 0.3, 0.4, 370.0)
     pool = sample_type_matrix(cfg, rows, RngStream(7, 0))
